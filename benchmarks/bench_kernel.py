@@ -1,22 +1,14 @@
-"""Bench PR10 — the flat search kernel and process-pool sharded batches.
+"""Bench — process-pool sharded batches over the cold CUPID workload.
 
-Two acceptance contracts over the cold CUPID E=3 workload (the same ten
+One acceptance contract over the cold CUPID E=3 workload (the same ten
 queries ``bench_closure.py`` uses, unrestricted schema):
-
-* the ``kernel="flat"`` integer-indexed expansion loop is at least
-  **1.5x** faster than the ``kernel="interpreted"`` reference on the
-  steady-state cold pass (completion cache cleared, per-target tables
-  warm — a long-lived process pays the table builds once ever, and
-  bench_closure asserts those cheap separately), with byte-identical
-  ranked paths, labels, and traversal counters for every query (it is
-  a specialization, not an approximation);
-* ``complete_batch(jobs=4, executor="process")`` is at least **2x**
-  faster than the sequential pass on machines with 3+ cores.  On two
-  cores 2x is the zero-overhead theoretical ceiling, so the bar there
-  is a 1.35x floor (fork + per-worker compile are real costs the
-  ledger keeps visible); on one core the comparison is *skipped, not
-  faked* — a process pool cannot beat sequential without parallel
-  hardware, and pretending otherwise would poison the ledger baseline.
+``complete_batch(jobs=4, executor="process")`` is at least **2x**
+faster than the sequential pass on machines with 3+ cores.  On two
+cores 2x is the zero-overhead theoretical ceiling, so the bar there is
+a 1.35x floor (fork + per-worker compile are real costs the ledger
+keeps visible); on one core the comparison is *skipped, not faked* — a
+process pool cannot beat sequential without parallel hardware, and
+pretending otherwise would poison the ledger baseline.
 
 Timings land in ``BENCH_kernel.json`` at the repo root and in the
 ``BENCH_history.jsonl`` perf ledger (gated by
@@ -45,8 +37,6 @@ _RESULT_FILE = _ROOT / "BENCH_kernel.json"
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 E = 3
-#: Required cold speedup of the flat kernel over the interpreted loop.
-MIN_KERNEL_SPEEDUP = 1.5
 #: Required process-pool speedup over sequential, by available cores.
 #: 2x needs at least 3 cores to be a fair bar (on 2 cores it is the
 #: zero-overhead ceiling); 2-core machines get a floor that still
@@ -73,25 +63,7 @@ def _snapshots(batch) -> list[tuple]:
     ]
 
 
-def _stats(batch) -> list[tuple]:
-    """The hardware-independent traversal counters per result."""
-    return [
-        (
-            result.stats.recursive_calls,
-            result.stats.edges_considered,
-            result.stats.complete_paths_found,
-            result.stats.pruned_visited,
-            result.stats.pruned_target_bound,
-            result.stats.pruned_best_bound,
-            result.stats.rescued_by_caution,
-            result.stats.nodes_pruned_reachability,
-            result.stats.nodes_pruned_bound,
-        )
-        for result in batch.results
-    ]
-
-
-def _cold_pass(schema, texts, kernel=None, jobs=1, executor=None):
+def _cold_pass(schema, texts, jobs=1, executor=None):
     """One genuinely cold batch: fresh artifact, empty completion cache.
 
     With ``executor="process"`` the compile registry is cleared first so
@@ -99,36 +71,11 @@ def _cold_pass(schema, texts, kernel=None, jobs=1, executor=None):
     """
     if executor == "process":
         compiled_registry.invalidate()
-    engine = Disambiguator(CompiledSchema(schema), e=E, kernel=kernel)
+    engine = Disambiguator(CompiledSchema(schema), e=E)
     start = time.perf_counter()
     batch = engine.complete_batch(texts, jobs=jobs, executor=executor)
     seconds = time.perf_counter() - start
     return batch, seconds
-
-
-def _steady_cold_passes(schema, texts, kernel):
-    """Cold completions against warm per-target tables, best of REPEATS.
-
-    One artifact per kernel; a throwaway first pass builds the closure
-    tables (and the flat kernel's derived tables) exactly as a
-    long-lived serving process would, then each timed pass clears the
-    completion cache so every query's *search* runs cold.  This is the
-    steady-state cold cost — the same first-touch/steady split
-    ``bench_closure.py`` uses for its ledger series — and it is the
-    regime the kernel contract is about: the expansion loop, not the
-    once-per-process table builds (those are asserted cheap in
-    bench_closure).
-    """
-    engine = Disambiguator(CompiledSchema(schema), e=E, kernel=kernel)
-    batch = engine.complete_batch(texts)  # warm tables, throwaway timing
-    best = None
-    for _ in range(REPEATS):
-        engine.compiled.cache.clear()
-        start = time.perf_counter()
-        batch = engine.complete_batch(texts)
-        seconds = time.perf_counter() - start
-        best = seconds if best is None else min(best, seconds)
-    return batch, best
 
 
 def _best_of(repeats, run):
@@ -141,45 +88,15 @@ def _best_of(repeats, run):
 
 
 @pytest.mark.benchmark(group="kernel")
-def test_flat_kernel_speedup(cupid, oracle):
+def test_process_pool_speedup(cupid, oracle):
     texts = [query.text for query in oracle.queries]
     lines = [
         f"workload: {len(texts)} CUPID queries, unrestricted schema, "
         f"E={E}, best of {REPEATS}"
     ]
 
-    interpreted, interp_seconds = _steady_cold_passes(
-        cupid, texts, kernel="interpreted"
-    )
-    flat, flat_seconds = _steady_cold_passes(cupid, texts, kernel="flat")
-
-    # Byte-identity first: ranked paths, labels, semantic lengths, the
-    # anytime flags, and every traversal counter.  A fast wrong kernel
-    # is worthless.
-    assert _snapshots(flat) == _snapshots(interpreted)
-    assert _stats(flat) == _stats(interpreted)
-
-    speedup = (
-        interp_seconds / flat_seconds if flat_seconds > 0 else float("inf")
-    )
-    assert speedup >= MIN_KERNEL_SPEEDUP, (
-        f"flat kernel {speedup:.2f}x < {MIN_KERNEL_SPEEDUP}x "
-        f"({interp_seconds * 1000:.0f}ms -> {flat_seconds * 1000:.0f}ms)"
-    )
-    record_bench(
-        f"kernel.interpreted_seconds_e{E}", interp_seconds, quick=QUICK
-    )
-    record_bench(f"kernel.flat_seconds_e{E}", flat_seconds, quick=QUICK)
-    lines.append(
-        f"kernel: interpreted {interp_seconds * 1000:8.1f} ms | flat "
-        f"{flat_seconds * 1000:8.1f} ms | {speedup:5.2f}x "
-        f"(required >= {MIN_KERNEL_SPEEDUP}x)"
-    )
-
-    # ------------------------------------------------------------------
     # Process-pool sharded batch vs sequential.  Skipped — not faked —
     # on one core.
-    # ------------------------------------------------------------------
     cores = os.cpu_count() or 1
     sequential, seq_seconds = _best_of(
         REPEATS, lambda: _cold_pass(cupid, texts)
@@ -233,11 +150,6 @@ def test_flat_kernel_speedup(cupid, oracle):
         "quick": QUICK,
         "queries": len(texts),
         "e": E,
-        "kernel": {
-            "interpreted_seconds": interp_seconds,
-            "flat_seconds": flat_seconds,
-            "speedup": speedup,
-        },
         "batch": {
             "sequential_seconds": seq_seconds,
             "cores": cores,
@@ -247,6 +159,6 @@ def test_flat_kernel_speedup(cupid, oracle):
     }
     _RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
     emit(
-        "Flat kernel + process-pool batches: cold CUPID workload",
+        "Process-pool batches: cold CUPID workload",
         "\n".join(lines),
     )

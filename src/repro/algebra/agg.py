@@ -134,45 +134,6 @@ class Aggregator:
         allowed = sorted(lengths)[: self.e]
         return candidate.semantic_length <= allowed[-1]
 
-    def merge(
-        self, candidate: PathLabel, existing: list[PathLabel]
-    ) -> list[PathLabel]:
-        """Exact fast path for ``aggregate([candidate, *existing])``
-        when ``existing`` is itself an aggregate output (internally
-        deduplicated) — the line-12 ``best[u]`` update of Algorithm 2,
-        which runs once per surviving edge on the traversal's innermost
-        loop.  Returns the same labels in the same order as
-        :meth:`aggregate` (property-tested)."""
-        if not existing:
-            return [candidate]
-        connector = candidate.connector
-        length = candidate.semantic_length
-        merged = [candidate]
-        for label in existing:
-            if label.connector is connector and label.semantic_length == length:
-                continue  # duplicate key; candidate is the representative
-            merged.append(label)
-        beaten_by = self._beaten_by
-        present = 0
-        for label in merged:
-            present |= 1 << label.connector.index
-        survivors = [
-            label
-            for label in merged
-            if not (present & beaten_by[label.connector.index])
-        ]
-        if len(survivors) > 1:
-            lengths = sorted({label.semantic_length for label in survivors})
-            if len(lengths) > self.e:
-                allowed = set(lengths[: self.e])
-                survivors = [
-                    label
-                    for label in survivors
-                    if label.semantic_length in allowed
-                ]
-        survivors.sort(key=_label_sort_key)
-        return survivors
-
     def improves(
         self, candidate: PathLabel, existing: Iterable[PathLabel]
     ) -> bool:

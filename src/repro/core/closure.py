@@ -186,21 +186,6 @@ def resolve_pruning(pruning: str | None) -> str:
     return pruning
 
 
-class _Bound:
-    """A synthetic optimistic label: just the two attributes the AGG*
-    membership test (:meth:`~repro.algebra.agg.Aggregator.keeps`) and
-    the caution intersection read."""
-
-    __slots__ = ("connector", "semantic_length")
-
-    def __init__(self, connector: Connector, semantic_length: int) -> None:
-        self.connector = connector
-        self.semantic_length = semantic_length
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"_Bound({self.connector.symbol}, {self.semantic_length})"
-
-
 class TargetTables:
     """The closure restricted to one completion target.
 
@@ -217,14 +202,15 @@ class TargetTables:
         (lowest sort rank) first — an empty tuple means no completing
         edge is reachable along interior edges.
     ``completing``
-        Per node, the completing edges as ``(edge, target class,
-        connector index)`` tuples — what ``enter`` scans instead of the
-        full adjacency list.
+        Per node, the completing edges as ``(target index, connector
+        index, edge)`` tuples — what the search loop
+        (:func:`repro.core.kernel.run_flat`) scans on entering a node
+        instead of the full adjacency list.
     ``interior``
-        Per node, the traversable edges as ``(child, child index,
-        connector index, edge)`` tuples, with reachability pruning
-        already applied: edges to children with an empty ``conns`` row
-        are dropped at build time.
+        Per node, the traversable edges as ``(child index, connector
+        index, edge)`` tuples, with reachability pruning already
+        applied: edges to children with an empty ``conns`` row are
+        dropped at build time.
     ``reach_pruned``
         Per node, how many interior edges reachability pruning removed;
         charged to ``TraversalStats.nodes_pruned_reachability`` once per
@@ -850,18 +836,13 @@ class SchemaClosure:
             inter: list[tuple] = []
             dropped: list[tuple] = []
             for edge in self.graph.edges_from(name):
+                target_i = index[edge.target]
                 if is_completing(edge):
-                    comp.append((edge, edge.target, edge.connector.index))
+                    comp.append((target_i, edge.connector.index, edge))
+                elif conns[target_i]:
+                    inter.append((target_i, edge.connector.index, edge))
                 else:
-                    child_i = index[edge.target]
-                    if conns[child_i]:
-                        inter.append(
-                            (edge.target, child_i, edge.connector.index, edge)
-                        )
-                    else:
-                        dropped.append(
-                            (edge.target, edge.connector.index, edge)
-                        )
+                    dropped.append((edge.target, edge.connector.index, edge))
             tables.completing.append(tuple(comp))
             tables.interior.append(tuple(inter))
             tables.reach_pruned.append(len(dropped))

@@ -49,7 +49,6 @@ from repro.core.audit import get_audit
 from repro.core.closure import SchemaClosure, resolve_pruning
 from repro.core.completion import CompletionResult, CompletionSearch
 from repro.core.domain import DomainKnowledge
-from repro.core.kernel import resolve_kernel
 from repro.core.target import RelationshipTarget
 from repro.errors import EvaluationError
 from repro.model.graph import SchemaGraph
@@ -514,18 +513,15 @@ class CompiledSchema:
         apply_inheritance_criterion: bool = True,
         max_depth: int | None = None,
         pruning: str | None = None,
-        kernel: str | None = None,
     ) -> CompletionSearch:
         """The shared Algorithm 2 instance for one (E, flags) setting."""
         pruning = resolve_pruning(pruning)
-        kernel = resolve_kernel(kernel)
         key = (
             e,
             use_caution_sets,
             apply_inheritance_criterion,
             max_depth,
             pruning,
-            kernel,
         )
         with self._lock:
             search = self._searches.get(key)
@@ -540,7 +536,6 @@ class CompiledSchema:
                     caution_sets=self.caution_sets,
                     pruning=pruning,
                     closure=self.closure if pruning == "closure" else None,
-                    kernel=kernel,
                 )
                 self._searches[key] = search
             return search
@@ -553,7 +548,6 @@ class CompiledSchema:
         apply_inheritance_criterion: bool,
         max_depth: int | None,
         pruning: str | None = None,
-        kernel: str | None = None,
     ) -> tuple:
         """The full cache key for one normalized expression text.
 
@@ -562,10 +556,10 @@ class CompiledSchema:
         class-target completions) so spelling variants of one
         expression share an entry.
 
-        The pruning mode — and likewise the kernel — is part of the key
-        even though both knobs are answer-preserving: A/B comparisons
-        (equivalence tests, benchmarks) must never have one mode served
-        warm from the other's cold run.
+        The pruning mode is part of the key even though the knob is
+        answer-preserving: A/B comparisons (equivalence tests,
+        benchmarks) must never have one mode served warm from the
+        other's cold run.
         """
         return (
             self.fingerprint,
@@ -577,7 +571,6 @@ class CompiledSchema:
             max_depth,
             self.knowledge_key,
             resolve_pruning(pruning),
-            resolve_kernel(kernel),
         )
 
     def complete_simple(
@@ -591,7 +584,6 @@ class CompiledSchema:
         budget: "Budget | None" = None,
         meter: "BudgetMeter | None" = None,
         pruning: str | None = None,
-        kernel: str | None = None,
     ) -> CompletionResult:
         """Cached single-gap completion ``root ~ relationship_name``.
 
@@ -614,7 +606,6 @@ class CompiledSchema:
             apply_inheritance_criterion,
             max_depth,
             pruning,
-            kernel,
         )
         with get_tracer().span("cache_lookup", expression=text) as lookup:
             cached = self.cache.get(key)
@@ -641,7 +632,6 @@ class CompiledSchema:
             apply_inheritance_criterion=apply_inheritance_criterion,
             max_depth=max_depth,
             pruning=pruning,
-            kernel=kernel,
         ).run(root, RelationshipTarget(relationship_name), budget=budget, meter=meter)
         if result.exhausted:
             self.cache.put(key, result)

@@ -28,28 +28,18 @@ import time
 
 from repro.algebra.agg import Aggregator
 from repro.algebra.caution import CautionSets
-from repro.algebra.connectors import ALL_CONNECTORS
 from repro.algebra.labels import IDENTITY_LABEL, PathLabel
 from repro.algebra.order import DEFAULT_ORDER, PartialOrder
 from repro.core.ast import ConcretePath
 from repro.core.audit import get_audit, record_scores
 from repro.core.closure import (
-    _CONI,
-    _LAST_CLASS_BY_INDEX,
-    _N_CONNECTORS,
-    _SORT_RANK,
     SchemaClosure,
     TargetTables,
     has_static_adjacency,
     resolve_pruning,
 )
 from repro.core.inheritance_criterion import apply_preemption
-from repro.core.kernel import (
-    FlatTables,
-    KernelBudgetTrip,
-    resolve_kernel,
-    run_flat,
-)
+from repro.core.kernel import BudgetTrip, run_flat
 from repro.core.stats import TraversalStats
 from repro.core.target import Target
 from repro.errors import BudgetExceededError
@@ -59,66 +49,6 @@ from repro.obs.tracer import get_tracer
 from repro.resilience.budget import Budget, BudgetMeter, get_budget
 
 __all__ = ["CompletionSearch", "CompletionResult", "complete_paths"]
-
-
-#: Cutoff-table sentinels: ``_NO_CUTOFF`` means "any semantic length
-#: passes" (fewer than E distinct lengths on the frontier), ``-1`` means
-#: "always fails" (the connector is beaten outright), and are chosen so
-#: the single comparison ``length > cutoffs[c]`` decides membership.
-_NO_CUTOFF = 1 << 30
-
-
-def _rebuild_cutoffs(
-    best_target: list[PathLabel],
-    cutoffs: list[int],
-    beaten_by: list[int],
-    e: int,
-) -> int:
-    """Rewrite ``keeps(·, best_target)`` as per-connector length cutoffs.
-
-    For every connector ``c``, ``cutoffs[c]`` becomes the largest
-    semantic length at which a label with connector ``c`` still passes
-    :meth:`~repro.algebra.agg.Aggregator.keeps` against ``best_target``
-    (``-1`` when ``c`` is beaten by a frontier connector).  The survivor
-    set is recomputed per candidate connector because the candidate's
-    own bit can knock frontier members out of the connector filter —
-    which is why one global threshold would be wrong.  Returns the
-    frontier's connector bitmask.
-    """
-    bt_mask = 0
-    for known in best_target:
-        bt_mask |= 1 << known.connector.index
-    for ci in range(_N_CONNECTORS):
-        present = bt_mask | (1 << ci)
-        if present & beaten_by[ci]:
-            cutoffs[ci] = -1
-            continue
-        lengths = {
-            known.semantic_length
-            for known in best_target
-            if not (present & beaten_by[known.connector.index])
-        }
-        # keeps() counts the candidate's own length among the distinct
-        # survivor lengths: with fewer than E frontier lengths any
-        # candidate fits inside the window, otherwise the window's last
-        # slot is the E-th smallest frontier length.
-        if len(lengths) < e:
-            cutoffs[ci] = _NO_CUTOFF
-        else:
-            cutoffs[ci] = sorted(lengths)[e - 1]
-    return bt_mask
-
-
-class _BudgetTrip(Exception):
-    """Internal control flow: unwinds the traversal on a tripped meter.
-
-    Never escapes :meth:`CompletionSearch.run` — it is converted there
-    into an anytime partial result (or a
-    :class:`~repro.errors.BudgetExceededError` carrying one).
-    """
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,15 +162,13 @@ class CompletionSearch:
         for ``graph`` (a compiled artifact shares one across all its
         searches).  Ignored when ``pruning="none"``; built on demand
         (content-cached) otherwise.
-    kernel:
-        ``"interpreted"`` (the default) runs the pure-Python loops;
-        ``"flat"`` runs the integer-specialized kernel
-        (:mod:`repro.core.kernel`) wherever the closure loop would run
-        — byte-identical results and stats, selected per search and
-        part of every completion-cache key.  ``None`` resolves via the
-        ``REPRO_KERNEL`` environment variable.  Audited searches always
-        take the interpreted loop (the audit log instruments its
-        decision sites), as do ``pruning="none"`` and dynamic graphs.
+
+    Two loops implement Algorithm 2.  ``pruning="closure"`` runs the
+    integer search loop :func:`repro.core.kernel.run_flat`;
+    :meth:`_traverse_reference` — the paper's pseudocode, line by line —
+    runs for ``pruning="none"``, for graphs with a dynamic adjacency,
+    for target types the closure cannot key, and for roots outside the
+    closure's index (classes excluded by domain knowledge).
     """
 
     def __init__(
@@ -254,7 +182,6 @@ class CompletionSearch:
         caution_sets: CautionSets | None = None,
         pruning: str | None = None,
         closure: SchemaClosure | None = None,
-        kernel: str | None = None,
     ) -> None:
         self.graph = graph
         self.order = order if order is not None else DEFAULT_ORDER
@@ -268,7 +195,6 @@ class CompletionSearch:
         self.apply_inheritance_criterion = apply_inheritance_criterion
         self.max_depth = max_depth
         self.pruning = resolve_pruning(pruning)
-        self.kernel = resolve_kernel(kernel)
         if self.pruning == "closure" and has_static_adjacency(graph):
             self.closure = (
                 closure if closure is not None else SchemaClosure.for_graph(graph)
@@ -279,20 +205,6 @@ class CompletionSearch:
             # tables would bypass the interception seam, so such graphs
             # always take the reference loop.
             self.closure = None
-        # Interned label-extension rows for the closure loop, keyed by
-        # label id.  Each entry is ``(label, row)`` — the entry pins the
-        # label, so its id can never be reused while the row exists; the
-        # traversal only ever feeds canonical labels (the shared
-        # IDENTITY_LABEL root or earlier row fills), so the table is
-        # bounded by the number of distinct label values.  Shared across
-        # runs of this search instance; safe under concurrent runs (dict
-        # get/set are atomic and rows for one label are interchangeable).
-        self._ext_rows: dict[int, tuple[PathLabel, list]] = {}
-        # Flat-kernel adjacency, built lazily per TargetTables instance
-        # and keyed by its id — each entry pins the tables object, so
-        # the id can never be reused while the entry exists (the
-        # ``_ext_rows`` precedent).
-        self._flat: dict[int, tuple[TargetTables, FlatTables]] = {}
         # Memoized per-root support sets (reachable class names) for
         # result footprints; the adjacency is frozen, so each root's set
         # is computed at most once per search instance.
@@ -337,11 +249,13 @@ class CompletionSearch:
             complete=[],
             stats=stats,
         )
-        # Per-target closure tables; ``None`` (pruning off, or a target
-        # type the closure cannot key) falls back to the paper's cuts.
+        # Per-target closure tables; ``None`` (pruning off, a target
+        # type the closure cannot key, or a root the closure does not
+        # index) falls back to the paper's cuts.
+        closure = self.closure
         tables = (
-            self.closure.tables_for(target)
-            if self.closure is not None
+            closure.tables_for(target)
+            if closure is not None and root in closure.index
             else None
         )
         audit = get_audit()
@@ -457,16 +371,11 @@ class CompletionSearch:
         meter: BudgetMeter | None = None,
         tables: TargetTables | None = None,
     ) -> str | None:
-        """Iterative rendering of the paper's recursive ``traverse``.
+        """Run Algorithm 2 from ``root``.
 
-        Each stack frame carries ``(node, label, path, next edge
-        index)``; pushing a frame corresponds to a recursive call (line
-        13), popping a frame past its last edge to returning past line
-        15 (which clears the ``visited`` flag).
-
-        Dispatches to the reference loop (the paper's Algorithm 2
-        verbatim) or, when ``tables`` is given, to the closure-guided
-        loop with the two extra cut rules.
+        Dispatches to the closure search loop
+        (:func:`repro.core.kernel.run_flat`) when ``tables`` is given,
+        else to the reference loop (the paper's Algorithm 2 verbatim).
 
         Returns ``None`` on exhaustion, or the truncation reason when
         ``meter`` trips — the state's recorded complete paths are then
@@ -477,39 +386,22 @@ class CompletionSearch:
                 self._traverse_reference(
                     root, root_label, root_path, state, target, meter
                 )
-            elif self.kernel == "flat" and not get_audit().enabled:
-                # The flat integer kernel — byte-identical to the
-                # closure loop below (property-tested).  Audited runs
-                # stay interpreted: the audit log instruments the
-                # interpreted loop's decision sites.
-                get_metrics().counter("kernel.flat_runs").inc()
+            else:
+                closure = self.closure
                 run_flat(
                     root,
-                    self.closure.index[root],
+                    closure.index[root],
+                    closure.nodes,
                     state,
-                    self._flat_tables(tables),
+                    tables,
                     self.aggregator,
                     self.caution.masks if self.caution is not None else None,
                     self.max_depth,
                     meter,
                 )
-            else:
-                self._traverse_closure(
-                    root, root_label, root_path, state, target, meter, tables
-                )
-        except _BudgetTrip as trip:
-            return trip.reason
-        except KernelBudgetTrip as trip:
+        except BudgetTrip as trip:
             return trip.reason
         return None
-
-    def _flat_tables(self, tables: TargetTables) -> FlatTables:
-        """The flat-kernel view of ``tables``, built once per instance."""
-        entry = self._flat.get(id(tables))
-        if entry is None or entry[0] is not tables:
-            entry = (tables, FlatTables.build(self.closure, tables))
-            self._flat[id(tables)] = entry
-        return entry[1]
 
     def _traverse_reference(
         self,
@@ -522,8 +414,12 @@ class CompletionSearch:
     ) -> None:
         """The paper's Algorithm 2, line by line (``pruning="none"``).
 
-        This is the A/B reference the closure loop is verified against;
-        it stays deliberately close to the published pseudocode."""
+        Each stack frame carries ``(node, label, path, next edge
+        index)``; pushing a frame corresponds to a recursive call (line
+        13), popping a frame past its last edge to returning past line
+        15 (which clears the ``visited`` flag).  This is the A/B
+        reference the closure loop is verified against; it stays
+        deliberately close to the published pseudocode."""
         visited: set[str] = state.visited
         aggregator = self.aggregator
         aggregate = aggregator.aggregate
@@ -566,7 +462,7 @@ class CompletionSearch:
                     stats.recursive_calls, len(complete), len(stack)
                 )
                 if reason is not None:
-                    raise _BudgetTrip(reason)
+                    raise BudgetTrip(reason)
             for edge in edges_from(node):
                 if not is_completing(edge):
                     continue
@@ -714,431 +610,6 @@ class CompletionSearch:
             if not advanced:
                 visited.discard(node)  # line 15
 
-    def _traverse_closure(
-        self,
-        root: str,
-        root_label: PathLabel,
-        root_path: ConcretePath,
-        state: "_SearchState",
-        target: Target,
-        meter: BudgetMeter | None,
-        tables: TargetTables,
-    ) -> None:
-        """Algorithm 2 with the closure cut rules (``pruning="closure"``).
-
-        Semantically this is :meth:`_traverse_reference` plus two cuts:
-
-        * *reachability pruning* — edges to children from which no
-          completing edge is reachable are dropped (pre-filtered into
-          ``tables.interior`` at table build; the per-entry counter
-          charge keeps the stats comparable);
-        * *label-bound pruning* — after the line-12 ``best[u]`` update
-          (so the frontier evolves exactly as in the reference), a child
-          is entered only if some achievable composed connector admits
-          an optimistic complete label that ``best[T]`` keeps, or one
-          whose caution set intersects ``best[T]`` (the non-
-          distributivity exemption).
-
-        Implementation-wise the loop is specialized: the line-9 test
-        and the bound test run off an integer cutoff table that is an
-        exact rewrite of :meth:`Aggregator.keeps` against the current
-        ``best[T]`` (rebuilt only when the frontier's content changes);
-        ``best[u]`` is held as AGG*-reduced ``(length, sort rank,
-        connector index)`` integer triples with a cached connector
-        bitmask (``best[u]`` is internal to the traversal — the paper's
-        semantics depend only on the (connector, length) key set, which
-        the triples carry exactly); label extensions are interned in
-        per-label rows carried in the stack frame; and recorded paths
-        carry their already-computed labels so finalization never
-        recomputes them.
-        """
-        visited: set[str] = state.visited
-        aggregator = self.aggregator
-        keeps = aggregator.keeps
-        merge = aggregator.merge
-        e_param = aggregator.e
-        beaten_by = aggregator.beaten_by
-        stats = state.stats
-        best = state.best
-        best_get = best.get
-        caution = self.caution
-        caution_masks = caution.masks if caution is not None else None
-        max_depth = self.max_depth
-        complete = state.complete
-        node_index = self.closure.index
-        interior = tables.interior
-        completing = tables.completing
-        reach_pruned = tables.reach_pruned
-        rows = tables.rows
-        conns = tables.conns
-        coni = _CONI
-        last_class = _LAST_CLASS_BY_INDEX
-        sort_rank = _SORT_RANK
-        concrete_path = ConcretePath
-        ext_rows = self._ext_rows
-        ext_rows_get = ext_rows.get
-        # Guarded audit hooks, as in the reference loop; the closure
-        # loop additionally surfaces the table-build reachability drops
-        # and the exact bound-vs-cutoff arithmetic of every cut.
-        audit = get_audit()
-        audit_on = audit.enabled
-        audit_record = audit.record
-        reach_dropped = tables.reach_dropped
-        all_connectors = ALL_CONNECTORS
-
-        def ext_row(label: PathLabel) -> list:
-            # The interned extension row of ``label``: row[c] is
-            # label.extend(connector c), filled on demand.  Keyed by id —
-            # sound because the entry pins the label (no id reuse) and
-            # every label reaching the loop is canonical: the shared
-            # IDENTITY_LABEL root, or an earlier row fill.
-            label_id = id(label)
-            entry = ext_rows_get(label_id)
-            if entry is None:
-                entry = (label, [None] * _N_CONNECTORS)
-                ext_rows[label_id] = entry
-            return entry[1]
-
-        stack: list[tuple] = []
-        stack_append = stack.append
-        stack_pop = stack.pop
-
-        # The line-9 / bound-test cutoffs: cutoffs[c] is the largest
-        # semantic length at which a label with connector c still passes
-        # keeps(label, best[T]) (-1 when c is beaten outright).  Exact
-        # by the AGG* membership algebra; rebuilt only when best[T]'s
-        # content changes.
-        cutoffs = [_NO_CUTOFF] * _N_CONNECTORS
-        seen_best_target: list | None = None
-        seen_signature: tuple | None = None
-        best_target_mask = 0
-
-        def enter(
-            node: str, node_i: int, label: PathLabel, path: ConcretePath
-        ) -> None:
-            # Lines 1-5, driven by the precomputed completing-edge list.
-            visited.add(node)
-            stats.recursive_calls += 1
-            stats.nodes_pruned_reachability += reach_pruned[node_i]
-            if audit_on:
-                audit_record(
-                    "expand",
-                    node=node,
-                    depth=path.length,
-                    edge=path.edges[-1].name if path.edges else None,
-                    label=str(label),
-                    length=label.semantic_length,
-                )
-                # The edges reachability pruning removed at table build;
-                # surfaced per entry, mirroring the stats charge above.
-                for dropped_child, _, dropped_edge in reach_dropped[node_i]:
-                    audit_record(
-                        "cut",
-                        rule="reachability",
-                        node=node,
-                        depth=path.length,
-                        edge=dropped_edge.name,
-                        child=dropped_child,
-                        caution=False,
-                    )
-            if meter is not None:
-                reason = meter.tripped(
-                    stats.recursive_calls, len(complete), len(stack)
-                )
-                if reason is not None:
-                    raise _BudgetTrip(reason)
-            exts = ext_row(label)
-            for edge, edge_target, connector_i in completing[node_i]:
-                if edge_target in visited:
-                    continue  # would close a cycle; ignored per semantics
-                candidate = exts[connector_i]
-                if candidate is None:
-                    candidate = exts[connector_i] = label.extend(edge.connector)
-                state.best_target = merge(candidate, state.best_target)
-                kept = keeps(candidate, state.best_target)
-                if kept:
-                    # Direct construction: the frame invariant guarantees
-                    # the edge chains, so extend()'s validation is
-                    # redundant here.
-                    complete_path = concrete_path(
-                        path.root, path.edges + (edge,)
-                    )
-                    object.__setattr__(complete_path, "_label", candidate)
-                    complete.append(complete_path)
-                    stats.complete_paths_found += 1
-                if audit_on:
-                    audited = (
-                        complete[-1]
-                        if kept
-                        else concrete_path(path.root, path.edges + (edge,))
-                    )
-                    audit_record(
-                        "complete",
-                        node=node,
-                        depth=path.length,
-                        edge=edge.name,
-                        path=str(audited),
-                        label=str(candidate),
-                        length=candidate.semantic_length,
-                        kept=kept,
-                    )
-            stack_append((node, node_i, label, exts, path, 0))
-
-        enter(root, node_index[root], root_label, root_path)
-        while stack:
-            node, node_i, label, exts, path, edge_index = stack_pop()
-            edges = interior[node_i]
-            n_edges = len(edges)
-            advanced = False
-            while edge_index < n_edges:
-                child, child_i, connector_i, edge = edges[edge_index]
-                edge_index += 1
-                stats.edges_considered += 1
-                if child in visited:
-                    stats.pruned_visited += 1
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="visited",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            caution=False,
-                        )
-                    continue
-                if (
-                    max_depth is not None
-                    and path.length + 1 >= max_depth
-                ):
-                    if audit_on:
-                        audit_record(
-                            "cut",
-                            rule="max_depth",
-                            node=node,
-                            depth=path.length,
-                            edge=edge.name,
-                            child=child,
-                            caution=False,
-                        )
-                    continue
-                child_label = exts[connector_i]
-                if child_label is None:
-                    child_label = exts[connector_i] = label.extend(
-                        edge.connector
-                    )
-                child_connector_i = child_label.connector.index
-                child_length = child_label.semantic_length
-                best_target = state.best_target
-                if best_target:
-                    if best_target is not seen_best_target:
-                        seen_best_target = best_target
-                        signature = tuple(
-                            (known.connector.index << 16)
-                            | known.semantic_length
-                            for known in best_target
-                        )
-                        if signature != seen_signature:
-                            seen_signature = signature
-                            best_target_mask = _rebuild_cutoffs(
-                                best_target, cutoffs, beaten_by, e_param
-                            )
-                    # Line 9, via the cutoff table.
-                    if child_length > cutoffs[child_connector_i]:
-                        stats.pruned_target_bound += 1
-                        if audit_on:
-                            audit_record(
-                                "cut",
-                                rule="target_bound",
-                                node=node,
-                                depth=path.length,
-                                edge=edge.name,
-                                child=child,
-                                label=str(child_label),
-                                length=child_length,
-                                cutoff=cutoffs[child_connector_i],
-                                caution=False,
-                            )
-                        continue
-                # Lines 10-11: bound against best[u], rescued by caution.
-                # best[u] is (connector bitmask, AGG*-reduced triples).
-                child_bit = 1 << child_connector_i
-                child_entry = best_get(child)
-                if child_entry is not None:
-                    stored_mask, triples = child_entry
-                    candidate_triple = (
-                        child_length,
-                        sort_rank[child_connector_i],
-                        child_connector_i,
-                    )
-                    # Fast path: the candidate's key is already in the
-                    # AGG* output, so it trivially passes the membership
-                    # test and the line-12 update is a no-op.
-                    if candidate_triple not in triples:
-                        present = stored_mask | child_bit
-                        if present & beaten_by[child_connector_i]:
-                            kept = False
-                        else:
-                            lengths = {child_length}
-                            for known_length, _, known_ci in triples:
-                                if not (present & beaten_by[known_ci]):
-                                    lengths.add(known_length)
-                            kept = (
-                                len(lengths) <= e_param
-                                or child_length
-                                <= sorted(lengths)[e_param - 1]
-                            )
-                        if not kept:
-                            if (
-                                caution_masks is not None
-                                and stored_mask
-                                & caution_masks[child_connector_i]
-                            ):
-                                stats.rescued_by_caution += 1
-                                if audit_on:
-                                    audit_record(
-                                        "rescue",
-                                        rule="best_bound",
-                                        node=node,
-                                        depth=path.length,
-                                        edge=edge.name,
-                                        child=child,
-                                        label=str(child_label),
-                                    )
-                            else:
-                                stats.pruned_best_bound += 1
-                                if audit_on:
-                                    audit_record(
-                                        "cut",
-                                        rule="best_bound",
-                                        node=node,
-                                        depth=path.length,
-                                        edge=edge.name,
-                                        child=child,
-                                        label=str(child_label),
-                                        length=child_length,
-                                        frontier=[
-                                            "[%s,%d]"
-                                            % (
-                                                all_connectors[ci].symbol,
-                                                known_length,
-                                            )
-                                            for known_length, _, ci in triples
-                                        ],
-                                        caution=False,
-                                    )
-                                continue
-                        # Line 12: best[u] := AGG*({l_u} ∪ best[u]).  The
-                        # candidate passes the connector filter too: a
-                        # caution-rescued (beaten) candidate reaches here
-                        # but does not survive into the stored frontier.
-                        survivors = []
-                        if not (present & beaten_by[child_connector_i]):
-                            survivors.append(candidate_triple)
-                        for triple in triples:
-                            if not (present & beaten_by[triple[2]]):
-                                survivors.append(triple)
-                        if len(survivors) > e_param:
-                            s_lengths = sorted(
-                                {triple[0] for triple in survivors}
-                            )
-                            if len(s_lengths) > e_param:
-                                cut = s_lengths[e_param - 1]
-                                survivors = [
-                                    triple
-                                    for triple in survivors
-                                    if triple[0] <= cut
-                                ]
-                        survivors.sort()
-                        new_mask = 0
-                        for triple in survivors:
-                            new_mask |= 1 << triple[2]
-                        best[child] = (new_mask, survivors)
-                else:
-                    best[child] = (
-                        child_bit,
-                        [
-                            (
-                                child_length,
-                                sort_rank[child_connector_i],
-                                child_connector_i,
-                            )
-                        ],
-                    )
-                # Label-bound pruning (after line 12, so best[] evolves
-                # identically to the reference loop).
-                if best_target:
-                    row = rows[child_i]
-                    base = (
-                        last_class[child_label.state.last.index]
-                        * _N_CONNECTORS
-                    )
-                    prefix_length = child_label.semantic_length
-                    composed_row = coni[child_connector_i]
-                    survives = False
-                    for suffix_ci in conns[child_i]:
-                        composed_i = composed_row[suffix_ci]
-                        if (
-                            caution_masks is not None
-                            and best_target_mask & caution_masks[composed_i]
-                        ):
-                            survives = True  # caution exemption
-                            if audit_on:
-                                audit_record(
-                                    "rescue",
-                                    rule="label_bound",
-                                    node=node,
-                                    depth=path.length,
-                                    edge=edge.name,
-                                    child=child,
-                                    label=str(child_label),
-                                )
-                            break
-                        if (
-                            prefix_length + row[base + suffix_ci]
-                            <= cutoffs[composed_i]
-                        ):
-                            survives = True
-                            break
-                    if not survives:
-                        stats.nodes_pruned_bound += 1
-                        if audit_on:
-                            audit_record(
-                                "cut",
-                                rule="label_bound",
-                                node=node,
-                                depth=path.length,
-                                edge=edge.name,
-                                child=child,
-                                label=str(child_label),
-                                length=child_length,
-                                bounds=[
-                                    {
-                                        "connector": all_connectors[
-                                            composed_row[suffix_ci]
-                                        ].symbol,
-                                        "bound": prefix_length
-                                        + row[base + suffix_ci],
-                                        "cutoff": cutoffs[
-                                            composed_row[suffix_ci]
-                                        ],
-                                    }
-                                    for suffix_ci in conns[child_i]
-                                ],
-                                caution=False,
-                            )
-                        continue
-                # Line 13: recurse — push the parent frame back with its
-                # position, then enter the child.
-                stack_append((node, node_i, label, exts, path, edge_index))
-                child_path = concrete_path(path.root, path.edges + (edge,))
-                object.__setattr__(child_path, "_label", child_label)
-                enter(child, child_i, child_label, child_path)
-                advanced = True
-                break
-            if not advanced:
-                visited.discard(node)  # line 15
-
     # ------------------------------------------------------------------
     # Finalization: update(paths) semantics applied to the full set
     # ------------------------------------------------------------------
@@ -1224,9 +695,9 @@ class _SearchState:
     best_target: list[PathLabel]
     complete: list[ConcretePath]
     stats: TraversalStats
-    # best[u]: PathLabel lists in the reference loop; (connector mask,
-    # integer triples) pairs in the closure loop.  Internal either way.
-    best: dict[str, object] = dataclasses.field(default_factory=dict)
+    # best[u] and visited: used by the reference loop only (the closure
+    # loop keeps its own index-addressed, integer-encoded copies).
+    best: dict[str, list[PathLabel]] = dataclasses.field(default_factory=dict)
     visited: set[str] = dataclasses.field(default_factory=set)
 
 
@@ -1241,7 +712,6 @@ def complete_paths(
     max_depth: int | None = None,
     budget: Budget | None = None,
     pruning: str | None = None,
-    kernel: str | None = None,
 ) -> CompletionResult:
     """One-shot convenience wrapper around :class:`CompletionSearch`."""
     search = CompletionSearch(
@@ -1252,6 +722,5 @@ def complete_paths(
         apply_inheritance_criterion=apply_inheritance_criterion,
         max_depth=max_depth,
         pruning=pruning,
-        kernel=kernel,
     )
     return search.run(root, target, budget=budget)

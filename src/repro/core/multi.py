@@ -93,7 +93,6 @@ def complete_general(
     budget: Budget | None = None,
     meter: BudgetMeter | None = None,
     pruning: str | None = None,
-    kernel: str | None = None,
 ) -> GeneralCompletionResult:
     """Complete an arbitrary incomplete path expression.
 
@@ -161,7 +160,6 @@ def complete_general(
             use_caution_sets=use_caution_sets,
             apply_inheritance_criterion=apply_inheritance_criterion,
             pruning=pruning,
-            kernel=kernel,
         )
 
         def complete_segment(anchor: str, name: str):
@@ -178,7 +176,6 @@ def complete_general(
                 apply_inheritance_criterion=apply_inheritance_criterion,
                 meter=meter,
                 pruning=pruning,
-                kernel=kernel,
             )
 
     tracer = get_tracer()

@@ -13,7 +13,7 @@ process boundary on its own:
 * **What crosses the pickle boundary out:** one frozen
   :class:`WorkerSpec` per pool — the schema, partial order, domain
   knowledge, and the engine's scalar configuration (E, ablation flags,
-  ``max_depth``, resolved ``pruning``/``kernel`` strings, and the
+  ``max_depth``, the resolved ``pruning`` string, and the
   effective budget's *limits*).  Each worker's initializer recompiles
   (or registry-hits) the artifact via the content-keyed
   :func:`~repro.core.compiled.compile_schema` and builds its own
@@ -115,7 +115,6 @@ class WorkerSpec:
     apply_inheritance_criterion: bool
     max_depth: int | None
     pruning: str
-    kernel: str
     budget_limits: tuple | None  # (seconds, nodes, paths, depth, partial_ok, interval)
 
     def build_budget(self) -> Budget | None:
@@ -171,7 +170,6 @@ def worker_spec_for(
         apply_inheritance_criterion=engine.apply_inheritance_criterion,
         max_depth=engine.max_depth,
         pruning=engine.pruning,
-        kernel=engine.kernel,
         budget_limits=budget_limits,
     )
 
@@ -203,7 +201,6 @@ def _init_worker(spec: WorkerSpec) -> None:
         max_depth=spec.max_depth,
         budget=spec.build_budget(),
         pruning=spec.pruning,
-        kernel=spec.kernel,
     )
 
 

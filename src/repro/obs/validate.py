@@ -11,7 +11,7 @@ logs (``type`` key), slow-query logs (``retained``/``elapsed_ms``
 keys), search audit logs (``kind``/``seq`` keys), or benchmark-history
 rows (``run``/``value`` keys).  ``*.json`` documents are SLO status
 payloads when they carry ``objectives``/``state`` keys, kernel bench
-reports when they carry ``kernel``/``batch`` keys, metrics summaries
+reports when they carry a ``batch`` key, metrics summaries
 otherwise.  Exit status 0 when every file conforms, 1
 otherwise — CI runs this over the quick-bench exports so a format
 drift fails the build until the schema files are updated deliberately.
@@ -82,9 +82,7 @@ def _validate_file(path: str) -> tuple[str, list[str]]:
                 ):
                     kind = "slo status"
                     validate_slo_status(document)
-                elif isinstance(document, dict) and (
-                    "kernel" in document and "batch" in document
-                ):
+                elif isinstance(document, dict) and "batch" in document:
                     kind = "kernel bench report"
                     validate_kernel_bench(document)
                 else:

@@ -9,6 +9,8 @@ diff over the Section 5 workload explains every divergence with an
 admissible cut.
 """
 
+import hashlib
+import io
 import json
 import time
 
@@ -28,10 +30,13 @@ from repro.core.audit import (
 )
 from repro.core.compiled import CompiledSchema, compile_schema, invalidate
 from repro.core.engine import Disambiguator
+from repro.core.parser import parse_path_expression
 from repro.core.target import RelationshipTarget
 from repro.experiments.workload import build_cupid_workload
 from repro.model.delta import AddClass, SchemaDelta
 from repro.obs.schema import SchemaValidationError, validate_audit_records
+from repro.schemas.cupid import build_cupid_schema
+from repro.schemas.university import build_university_schema
 
 CUPID_QUERY = "experiment ~ conductance"
 
@@ -193,6 +198,53 @@ class TestRoundTrip:
         assert "decision tree:" in text
         assert "cuts:" in text
         assert log.render() == text
+
+
+#: Exported closure-loop audit streams, pinned record for record: the
+#: record count and the SHA-256 of the JSONL export.  Between them the
+#: cases hit every decision site — expand, complete, the reachability,
+#: visited, max_depth, target_bound, best_bound and label_bound cuts,
+#: and both caution rescues.  The CUPID E=1 case is the checked-in
+#: ``BENCH_audit.jsonl`` export.
+PINNED_STREAMS = [
+    ("university", "ta ~ name", 1, None, 82, "f63ff2d3e37332449eb2c7ed8d2cee617884a74629c8e07b70d3207f46aa55b4"),
+    ("university", "ta ~ name", 2, None, 89, "28501657681737cf91892ac483abd9aef103553ef133ab43bf0dd7bfd709f46e"),
+    ("university", "ta ~ name", 3, None, 89, "372cd3bfc72e9eaa30dcb7fda07505ffe9f07cfb9f23fed49edd8ba94c29dad1"),
+    ("cupid", "experiment ~ conductance", 1, None, 3041, "9023fa3af5ff528944460e43c532cd6d7e3f15553828dec86e8cdf22d9361f9a"),
+    ("cupid", "crop ~ depth", 3, None, 10936, "5ae62f205d333c0df9834ce714489ae4ad80f0286871b2ec3ea099cc4bd344fb"),
+    ("cupid", "crop ~ depth", 2, 4, 228, "423e4ae77f6a512751e157131eb1dfc787d451249fd3f092eb0a9b02615d7164"),
+]
+
+_SCHEMAS = {
+    "university": build_university_schema,
+    "cupid": build_cupid_schema,
+}
+
+
+@pytest.mark.parametrize(
+    "schema_name, text, e, max_depth, count, digest",
+    PINNED_STREAMS,
+    ids=[
+        f"{s}-{t.replace(' ', '')}-e{e}-d{d}"
+        for s, t, e, d, _, _ in PINNED_STREAMS
+    ],
+)
+def test_closure_audit_stream_is_pinned(
+    schema_name, text, e, max_depth, count, digest
+):
+    expression = parse_path_expression(text)
+    searcher = CompiledSchema(_SCHEMAS[schema_name]()).searcher(
+        e=e, max_depth=max_depth, pruning="closure"
+    )
+    log = SearchAuditLog()
+    with use_audit(log):
+        searcher.run(
+            expression.root, RelationshipTarget(expression.last_name)
+        )
+    export = io.StringIO()
+    log.write_jsonl(export)
+    assert len(log) == count
+    assert hashlib.sha256(export.getvalue().encode()).hexdigest() == digest
 
 
 class TestScoreDecomposition:

@@ -18,8 +18,17 @@ from repro.core.compiled import CompiledSchema
 from repro.core.completion import CompletionSearch, complete_paths
 from repro.core.engine import Disambiguator
 from repro.core.target import ClassTarget, RelationshipTarget, Target
+from repro.experiments.workload import build_cupid_workload
 from repro.model.graph import SchemaGraph
 from repro.schemas.generator import GeneratorConfig, generate_schema
+
+
+UNIVERSITY_QUERIES = [
+    "ta ~ name",
+    "student.take.teacher",
+    "student ~ dept",
+    "teacher ~ name",
+]
 
 
 def _snapshot(result):
@@ -149,6 +158,38 @@ class TestEquivalenceOnFixtures:
             + pruned.stats.nodes_pruned_bound
             > 0
         )
+
+    @pytest.mark.parametrize("e", (1, 2, 3))
+    @pytest.mark.parametrize("caution", (True, False))
+    def test_university_byte_identity(self, university, e, caution):
+        """The university queries across E and the caution ablation."""
+        engines = {
+            mode: Disambiguator(
+                CompiledSchema(university),
+                e=e,
+                use_caution_sets=caution,
+                pruning=mode,
+            )
+            for mode in PRUNING_MODES
+        }
+        for text in UNIVERSITY_QUERIES:
+            reference = engines["none"].complete(text)
+            pruned = engines["closure"].complete(text)
+            assert _snapshot(pruned) == _snapshot(reference), text
+
+    @pytest.mark.parametrize("max_depth", (2, 4, None))
+    def test_cupid_depth_caps(self, cupid, max_depth):
+        """Depth-capped searches on the first five Section-5 queries."""
+        engines = {
+            mode: Disambiguator(
+                CompiledSchema(cupid), e=2, max_depth=max_depth, pruning=mode
+            )
+            for mode in PRUNING_MODES
+        }
+        for query in build_cupid_workload().queries[:5]:
+            reference = engines["none"].complete(query.text)
+            pruned = engines["closure"].complete(query.text)
+            assert _snapshot(pruned) == _snapshot(reference), query.text
 
     def test_class_target_equivalence(self, cupid_graph):
         target = ClassTarget("field")

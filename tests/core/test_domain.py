@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.closure import PRUNING_MODES
+from repro.core.compiled import CompiledSchema
 from repro.core.domain import DomainKnowledge
 from repro.core.engine import Disambiguator
 from repro.errors import EvaluationError
+from repro.experiments.workload import designer_domain_knowledge
 from repro.model.graph import SchemaGraph
 
 
@@ -91,3 +94,33 @@ class TestRestriction:
             domain_knowledge=DomainKnowledge.excluding("course"),
         ).complete("department ~ ssn")
         assert set(restricted.expressions) <= set(baseline.expressions)
+
+
+class TestExcludedRoots:
+    """A class excluded by domain knowledge is missing from the
+    restricted graph — and so from the closure index — yet stays a
+    legal query root: both search loops answer it empty and exhausted."""
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize(
+        "root", sorted(designer_domain_knowledge().excluded_classes)
+    )
+    def test_excluded_root_completes_empty(self, cupid, root, pruning):
+        knowledge = designer_domain_knowledge()
+
+        def outcome(mode):
+            result = Disambiguator(
+                CompiledSchema(cupid, domain_knowledge=knowledge),
+                pruning=mode,
+            ).complete(f"{root} ~ name")
+            return (
+                result.paths,
+                result.labels,
+                result.exhausted,
+                result.truncation_reason,
+                result.support,
+            )
+
+        observed = outcome(pruning)
+        assert observed[:3] == ((), (), True)
+        assert observed == outcome("none")

@@ -1,20 +1,16 @@
-"""The flat search kernel — equivalence, tables, and selection.
+"""The closure search loop — tables, truncation, and pinned counters.
 
-The kernel contract is *byte-identity*: ``kernel="flat"`` must return
-exactly what the interpreted closure loop returns — ranked paths,
-labels, semantic lengths, anytime flags, and every traversal counter —
-across schemas, E levels, ablation flags, depth caps, and budget
-truncation points.  These tests enforce that property over the bundled
-schemas and a family of generated random schemas, verify the
-precomputed lstate composition tables against the real
-:meth:`PathLabel.extend`, and pin the selection plumbing: the knob, the
-``REPRO_KERNEL`` environment override, the cache-key separation between
-kernels, and the audited-search fallback to the interpreted loop.
+:func:`repro.core.kernel.run_flat` is the only ``pruning="closure"``
+loop.  Its results are checked against the reference Algorithm 2 loop
+in ``tests/core/test_closure.py``; this module verifies the precomputed
+lstate composition tables against the real :meth:`PathLabel.extend`,
+checks results on generated schemas the loop never saw, and pins its
+traversal counters — the hardware-independent Figure 7 measures — and
+its anytime truncation points to the values an independent
+implementation of the same loop produced.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -22,33 +18,74 @@ from repro.algebra.connectors import ALL_CONNECTORS, PRIMARY_CONNECTORS
 from repro.algebra.labels import PathLabel
 from repro.algebra.semantic_length import SemanticLengthState
 from repro.core import compiled as compiled_mod
-from repro.core.audit import SearchAuditLog, use_audit
 from repro.core.closure import (
     _LAST_CLASS_BY_INDEX,
     _LAST_OTHER,
     _N_CONNECTORS,
 )
 from repro.core.compiled import CompiledSchema
+from repro.core.completion import complete_paths
 from repro.core.engine import Disambiguator
-from repro.core.kernel import (
-    EXT_DELTA,
-    EXT_LSTATE,
-    KERNEL_ENV_VAR,
-    KERNEL_MODES,
-    kernel_backend,
-    resolve_kernel,
-)
-from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.core.kernel import EXT_DELTA, EXT_LSTATE
+from repro.core.parser import parse_path_expression
+from repro.core.target import RelationshipTarget
+from repro.errors import BudgetExceededError
 from repro.resilience.budget import Budget
 from repro.schemas.generator import GeneratorConfig, generate_schema
 
-QUERIES = [
-    "ta ~ name",
-    "student.take.teacher",
-    "student ~ dept",
-    "teacher ~ name",
+#: Every per-run :class:`~repro.core.stats.TraversalStats` counter.
+COUNTERS = (
+    "recursive_calls",
+    "edges_considered",
+    "complete_paths_found",
+    "pruned_visited",
+    "pruned_target_bound",
+    "pruned_best_bound",
+    "rescued_by_caution",
+    "nodes_pruned_reachability",
+    "nodes_pruned_bound",
+    "preempted_paths",
+    "budget_trips",
+)
+
+#: Closure-loop counters for the ten Section-5 CUPID queries at E=1 and
+#: E=3 and the university flagship, in ``COUNTERS`` order.
+PINNED_COUNTERS = [
+    ("cupid", "experiment ~ conductance", 1, (683, 2355, 59, 815, 0, 391, 0, 623, 467, 0, 0)),
+    ("cupid", "simulation ~ value", 1, (45, 169, 12, 49, 0, 12, 0, 38, 64, 0, 0)),
+    ("cupid", "scientist ~ lai", 1, (328, 1196, 25, 417, 0, 170, 0, 283, 282, 0, 0)),
+    ("cupid", "crop ~ depth", 1, (298, 1071, 26, 410, 0, 116, 0, 276, 248, 0, 0)),
+    ("cupid", "weather_station ~ flux", 1, (738, 2454, 61, 908, 0, 359, 0, 627, 450, 0, 0)),
+    ("cupid", "soil_layer ~ amount", 1, (1098, 3539, 75, 1539, 0, 498, 0, 833, 405, 0, 0)),
+    ("cupid", "canopy ~ sand_fraction", 1, (481, 1564, 24, 664, 0, 148, 0, 461, 272, 0, 0)),
+    ("cupid", "simulation ~ latitude", 1, (41, 158, 10, 59, 0, 14, 0, 46, 45, 0, 0)),
+    ("cupid", "simulation ~ name", 1, (122, 381, 1, 153, 67, 40, 0, 95, 0, 0, 0)),
+    ("cupid", "phenology ~ dry_mass", 1, (1355, 4187, 35, 1791, 0, 572, 0, 1196, 470, 0, 0)),
+    ("cupid", "experiment ~ conductance", 3, (7950, 26498, 430, 10662, 0, 3414, 46, 7012, 4473, 0, 0)),
+    ("cupid", "simulation ~ value", 3, (757, 2578, 184, 962, 0, 36, 10, 559, 824, 0, 0)),
+    ("cupid", "scientist ~ lai", 3, (4990, 16754, 311, 6982, 0, 1166, 0, 4217, 3617, 0, 0)),
+    ("cupid", "crop ~ depth", 3, (2543, 8485, 233, 3633, 0, 333, 114, 2096, 1977, 0, 0)),
+    ("cupid", "weather_station ~ flux", 3, (7460, 23630, 440, 9479, 0, 2506, 621, 6837, 4186, 0, 0)),
+    ("cupid", "soil_layer ~ amount", 3, (9352, 29869, 772, 13755, 0, 2844, 832, 7023, 3919, 0, 0)),
+    ("cupid", "canopy ~ sand_fraction", 3, (3429, 11307, 139, 4913, 0, 822, 540, 3046, 2144, 0, 0)),
+    ("cupid", "simulation ~ latitude", 3, (28995, 90443, 106, 41935, 0, 18567, 73, 20646, 947, 0, 0)),
+    ("cupid", "simulation ~ name", 3, (162, 465, 1, 219, 85, 0, 0, 133, 0, 0, 0)),
+    ("cupid", "phenology ~ dry_mass", 3, (10275, 33307, 153, 14216, 0, 4342, 1869, 8895, 4475, 0, 0)),
+    ("university", "ta ~ name", 1, (22, 51, 2, 23, 6, 1, 1, 2, 0, 0, 0)),
+    ("university", "ta ~ name", 3, (26, 61, 2, 30, 5, 1, 1, 2, 0, 0, 0)),
 ]
+
+#: Anytime truncation of ``experiment ~ conductance`` at E=3 under a
+#: node budget: ``max_nodes -> (paths kept, counters)``, the counters
+#: in ``COUNTERS`` order minus the last two.
+PINNED_TRUNCATIONS = {
+    1: (0, (1, 0, 0, 0, 0, 0, 0, 2, 0)),
+    2: (0, (2, 1, 0, 0, 0, 0, 0, 3, 0)),
+    5: (0, (5, 7, 0, 3, 0, 0, 0, 7, 0)),
+    10: (0, (10, 18, 0, 9, 0, 0, 0, 11, 0)),
+    40: (4, (40, 109, 4, 38, 0, 3, 0, 42, 29)),
+    200: (3, (200, 695, 23, 237, 0, 92, 0, 191, 167)),
+}
 
 
 def _snapshot(result):
@@ -61,89 +98,8 @@ def _snapshot(result):
     )
 
 
-def _stats(result):
-    s = result.stats
-    return (
-        s.recursive_calls,
-        s.edges_considered,
-        s.complete_paths_found,
-        s.pruned_visited,
-        s.pruned_target_bound,
-        s.pruned_best_bound,
-        s.rescued_by_caution,
-        s.nodes_pruned_reachability,
-        s.nodes_pruned_bound,
-    )
-
-
-def _outcome(engine, text, budget=None):
-    """Snapshot+stats, or the typed error — both must match exactly."""
-    try:
-        result = engine.complete(text, budget=budget)
-    except ReproError as err:
-        return ("error", type(err).__name__, str(err))
-    return (_snapshot(result), _stats(result))
-
-
-def _paired_engines(schema, **kwargs):
-    """Fresh interpreted/flat engines that share no registry artifact.
-
-    Each gets its own :class:`CompiledSchema` built after an
-    ``invalidate()`` so neither inherits the other's warm closure
-    tables — the comparison covers cold table builds too.
-    """
-    compiled_mod.invalidate()
-    interpreted = Disambiguator(
-        CompiledSchema(schema), kernel="interpreted", **kwargs
-    )
-    compiled_mod.invalidate()
-    flat = Disambiguator(CompiledSchema(schema), kernel="flat", **kwargs)
-    return interpreted, flat
-
-
-class TestKernelSelection:
-    def test_resolve_explicit_env_and_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel(None) == "interpreted"
-        assert resolve_kernel("flat") == "flat"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "flat")
-        assert resolve_kernel(None) == "flat"
-        # Explicit beats the environment.
-        assert resolve_kernel("interpreted") == "interpreted"
-
-    def test_resolve_rejects_unknown_mode(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("native")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel(None)
-
-    def test_engine_honors_env_override(self, university, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "flat")
-        assert Disambiguator(university).kernel == "flat"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert Disambiguator(university).kernel == "interpreted"
-
-    def test_backend_reports_a_known_implementation(self):
-        assert kernel_backend() in ("python", "compiled")
-
-    def test_kernel_is_part_of_the_cache_key(self, university):
-        compiled = CompiledSchema(university)
-        interpreted = Disambiguator(compiled, kernel="interpreted")
-        flat = Disambiguator(compiled, kernel="flat")
-        text = "ta ~ name"
-        assert interpreted._cache_key(text) != flat._cache_key(text)
-        # Sharing one artifact, the two kernels fill distinct entries —
-        # an A/B run never serves the other side's warm results.
-        compiled.cache.clear()
-        interpreted.complete(text)
-        assert len(compiled.cache) == 1
-        flat.complete(text)
-        assert len(compiled.cache) == 2
-
-    def test_derived_engines_inherit_the_kernel(self, university):
-        engine = Disambiguator(CompiledSchema(university), kernel="flat")
-        assert engine.with_e(3).kernel == "flat"
+def _counters(stats, names=COUNTERS):
+    return tuple(getattr(stats, name) for name in names)
 
 
 class TestExtensionTables:
@@ -196,31 +152,9 @@ class TestExtensionTables:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("e", (1, 2, 3))
-    @pytest.mark.parametrize("caution", (True, False))
-    def test_university_byte_identity(self, university, e, caution):
-        interpreted, flat = _paired_engines(
-            university, e=e, use_caution_sets=caution
-        )
-        for text in QUERIES:
-            assert _outcome(flat, text) == _outcome(interpreted, text), (
-                text,
-                e,
-                caution,
-            )
-
-    @pytest.mark.parametrize("max_depth", (2, 4, None))
-    def test_cupid_depth_caps(self, cupid, oracle_texts, max_depth):
-        interpreted, flat = _paired_engines(cupid, e=2, max_depth=max_depth)
-        for text in oracle_texts[:5]:
-            assert _outcome(flat, text) == _outcome(interpreted, text), (
-                text,
-                max_depth,
-            )
-
     @pytest.mark.parametrize("seed", (0, 3, 11))
     def test_generated_schemas_byte_identity(self, seed):
-        """Property check over random schemas the kernel never saw."""
+        """Closure loop == reference loop on random schemas it never saw."""
         schema = generate_schema(
             GeneratorConfig(classes=18, seed=seed, association_factor=1.2)
         )
@@ -231,69 +165,68 @@ class TestEquivalence:
             "cls_003 ~ attr_000",
         ]
         for e in (1, 3):
-            interpreted, flat = _paired_engines(schema, e=e)
+            compiled_mod.invalidate()
+            reference = Disambiguator(
+                CompiledSchema(schema), e=e, pruning="none"
+            )
+            closure = Disambiguator(
+                CompiledSchema(schema), e=e, pruning="closure"
+            )
             for text in texts:
-                assert _outcome(flat, text) == _outcome(
-                    interpreted, text
+                assert _snapshot(closure.complete(text)) == _snapshot(
+                    reference.complete(text)
                 ), (seed, e, text)
 
     def test_budget_truncation_points_byte_identity(self, cupid):
-        """Anytime truncation at many node budgets: identical best-so-far
-        answers, truncation reasons, and counters at every trip point."""
+        """Anytime truncation at many node budgets: the best-so-far
+        answer, truncation reason and counters at every trip point."""
         text = "experiment ~ conductance"
-        truncated = 0
-        for limit in (1, 2, 5, 10, 40, 200):
-            interpreted, flat = _paired_engines(cupid, e=3)
-            budget = Budget(max_nodes=limit, partial_ok=True)
-            a = _outcome(interpreted, text, budget=budget)
-            b = _outcome(
-                flat, text, budget=Budget(max_nodes=limit, partial_ok=True)
+        for limit, (kept, counters) in PINNED_TRUNCATIONS.items():
+            compiled_mod.invalidate()
+            engine = Disambiguator(
+                CompiledSchema(cupid), e=3, pruning="closure"
             )
-            assert a == b, limit
-            if a[0][4] is not None:  # truncation_reason
-                truncated += 1
-        assert truncated > 0, "no budget actually tripped"
+            result = engine.complete(
+                text, budget=Budget(max_nodes=limit, partial_ok=True)
+            )
+            assert not result.exhausted, limit
+            assert result.truncation_reason == "nodes", limit
+            assert len(result.paths) == kept, limit
+            assert _counters(result.stats, COUNTERS[:-2]) == counters, limit
+            for path in result.paths:
+                assert path.is_acyclic
+                assert str(path).endswith(".conductance")
 
     def test_hard_budget_raises_identically(self, cupid):
-        interpreted, flat = _paired_engines(cupid, e=3)
-        budget = Budget(max_nodes=3, partial_ok=False)
-        a = _outcome(interpreted, "experiment ~ conductance", budget=budget)
-        b = _outcome(
-            flat,
-            "experiment ~ conductance",
-            budget=Budget(max_nodes=3, partial_ok=False),
-        )
-        assert a == b
-        assert a[0] == "error"
+        compiled_mod.invalidate()
+        engine = Disambiguator(CompiledSchema(cupid), e=3, pruning="closure")
+        with pytest.raises(BudgetExceededError) as caught:
+            engine.complete(
+                "experiment ~ conductance",
+                budget=Budget(max_nodes=3, partial_ok=False),
+            )
+        partial = caught.value.partial
+        assert partial.truncation_reason == "nodes"
+        assert partial.paths == ()
+        assert partial.stats.recursive_calls == 3
 
 
-class TestAuditFallback:
-    def test_audited_searches_run_interpreted(self, university):
-        """A live audit log silences the flat kernel (its decision-site
-        instrumentation lives in the interpreted loop) — and the results
-        stay byte-identical either way."""
-        # Pin closure pruning: the flat kernel only runs where the
-        # closure loop would, so the REPRO_PRUNING=none CI leg must not
-        # leak into this test's precondition that flat actually fires.
-        engine = Disambiguator(
-            CompiledSchema(university), kernel="flat", pruning="closure"
-        )
-        with use_metrics(MetricsRegistry()) as metrics:
-            with use_audit(SearchAuditLog()):
-                audited = engine.complete("ta ~ name")
-            assert metrics.counter("kernel.flat_runs").value == 0
-            engine.compiled.cache.clear()
-            plain = engine.complete("ta ~ name")
-            assert metrics.counter("kernel.flat_runs").value > 0
-        assert _snapshot(audited) == _snapshot(plain)
-
-
-@pytest.fixture(scope="session")
-def oracle_texts():
-    from repro.experiments.workload import build_cupid_workload
-
-    return [query.text for query in build_cupid_workload().queries]
-
-
-def test_kernel_modes_are_the_documented_pair():
-    assert KERNEL_MODES == ("interpreted", "flat")
+@pytest.mark.parametrize(
+    "schema_name, text, e, counters",
+    PINNED_COUNTERS,
+    ids=[f"{s}-{t.replace(' ', '')}-e{e}" for s, t, e, _ in PINNED_COUNTERS],
+)
+def test_traversal_counters_are_pinned(
+    cupid_graph, university_graph, schema_name, text, e, counters
+):
+    """Every traversal counter of the closure loop, exactly."""
+    graph = cupid_graph if schema_name == "cupid" else university_graph
+    expression = parse_path_expression(text)
+    result = complete_paths(
+        graph,
+        expression.root,
+        RelationshipTarget(expression.last_name),
+        e=e,
+        pruning="closure",
+    )
+    assert _counters(result.stats) == counters
