@@ -116,7 +116,13 @@ class PathExpression:
         return PathLabel.of_path(self.connectors())
 
     def __str__(self) -> str:
-        return self.root + "".join(str(step) for step in self.steps)
+        # Cached like ConcretePath.label(): in the instance __dict__,
+        # outside the fields, so equality, hashing and repr ignore it.
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self.root + "".join(str(step) for step in self.steps)
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,4 +208,9 @@ class ConcretePath:
         return self.edges[: other.length] == other.edges
 
     def __str__(self) -> str:
-        return str(self.to_expression())
+        # Cached like label(); a served cache hit renders every path.
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = str(self.to_expression())
+            object.__setattr__(self, "_text", text)
+        return text

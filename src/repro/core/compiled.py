@@ -171,6 +171,10 @@ class CompletionCache:
             self.hits += 1
             return value
 
+    def contains(self, key: tuple) -> bool:
+        """Membership only: counts nothing and leaves the LRU order."""
+        return key in self._data
+
     def put(self, key: tuple, value: CompletionResult) -> None:
         # The resilience hard invariant: anytime partial results (budget
         # truncations, degraded-E answers) must never be served warm —

@@ -57,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime
 
 __all__ = ["BatchCompletionResult", "Disambiguator"]
 
+#: Bound on :attr:`Disambiguator._text_keys`; past it the memo starts over.
+_TEXT_KEY_LIMIT = 4096
+
 
 @dataclasses.dataclass(frozen=True)
 class BatchCompletionResult:
@@ -187,6 +190,9 @@ class Disambiguator:
             max_depth=max_depth,
             pruning=self.pruning,
         )
+        #: Request text -> cache key of every text probed so far, so
+        #: :meth:`is_cached` needs no parse (cleared when full).
+        self._text_keys: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Completion entry points
@@ -228,12 +234,72 @@ class Disambiguator:
             obs.record_result(result)
             return result
 
+    def probe(
+        self, expression: str | PathExpression
+    ) -> CompletionResult | None:
+        """:meth:`complete`'s cache half: the cached result, or ``None``.
+
+        Parses the expression once, computes its cache key, looks it
+        up, writes the ``cache`` audit record and, on a hit, records the
+        hit metrics — exactly what :meth:`complete` does before it would
+        search.  It never searches, so it is safe on a thread that must
+        not block (the serving tier answers hits on its event loop).
+        Unlike :meth:`complete`, neither half opens a slow-log
+        observation: callers run them inside their own.
+
+        A ``None`` return has counted one cache miss.  Hand the
+        expression to :meth:`fill`, not :meth:`complete`, so the miss
+        is not counted twice.
+        """
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return self._probe(expression)[2]
+        with tracer.span(
+            "complete", expression=str(expression), e=self.e
+        ) as span:
+            return self._probe(expression, span)[2]
+
+    def fill(
+        self,
+        expression: str | PathExpression,
+        budget: Budget | None = None,
+    ) -> CompletionResult:
+        """:meth:`complete`'s search half, for an expression whose
+        :meth:`probe` just missed.
+
+        Runs the (budget-governed) search without a second cache
+        lookup, caches an exhaustive result and records the miss
+        metrics.
+        """
+        tracer = get_tracer()
+        if isinstance(expression, str):
+            expression = parse_path_expression(expression)
+        key = self._cache_key(str(expression))
+        if not tracer.enabled:
+            return self._fill(expression, key, budget)
+        with tracer.span(
+            "complete", expression=str(expression), e=self.e
+        ) as span:
+            return self._fill(expression, key, budget, span)
+
+    def is_cached(self, text: str) -> bool:
+        """Whether the cache holds ``text``'s entry, without a lookup.
+
+        Only texts this engine has probed before are recognised (the
+        text-to-key memo saves a parse).  Counts, audits and traces
+        nothing and leaves the LRU order alone, so it is a routing hint
+        and never an answer: the entry can vanish before the
+        :meth:`probe` that reads it.
+        """
+        key = self._text_keys.get(text)
+        return key is not None and self.compiled.cache.contains(key)
+
     def _complete_impl(
         self,
         expression: str | PathExpression,
         budget: Budget | None = None,
     ) -> CompletionResult:
-        """:meth:`complete` minus the slow-log hook (fast/traced paths)."""
+        """:meth:`complete` minus the slow-log hook: probe, then fill."""
         tracer = get_tracer()
         if not tracer.enabled:
             # Untraced fast path.  This method is the warm-cache hot
@@ -241,47 +307,72 @@ class Disambiguator:
             # plumbing is measurable; the traced branch below is the
             # same logic with spans.  Budget resolution happens after
             # the cache lookup so the warm path stays untouched.
-            if isinstance(expression, str):
-                expression = parse_path_expression(expression)
-            key = self._cache_key(str(expression))
-            cached = self.compiled.cache.get(key)
-            audit = get_audit()
-            if audit.enabled:
-                self._audit_cache(audit, str(expression), cached, key)
+            expression, key, cached = self._probe(expression)
             if cached is not None:
-                get_metrics().record_completion(cached.stats, cached=True)
                 return cached
-            result = self._complete_governed(expression, budget)
-            if result.exhausted:
-                self.compiled.cache.put(key, result)
-            get_metrics().record_completion(result.stats, cached=False)
-            return result
+            return self._fill(expression, key, budget)
         with tracer.span(
             "complete", expression=str(expression), e=self.e
         ) as span:
-            if isinstance(expression, str):
-                with tracer.span("parse"):
-                    expression = parse_path_expression(expression)
+            expression, key, cached = self._probe(expression, span)
+            if cached is not None:
+                return cached
+            return self._fill(expression, key, budget, span)
+
+    def _probe(
+        self, expression: str | PathExpression, span=None
+    ) -> tuple[PathExpression, tuple, CompletionResult | None]:
+        """(parsed expression, cache key, cached result or ``None``).
+
+        ``span`` is the open ``complete`` span when tracing, ``None``
+        on the untraced fast path.
+        """
+        if isinstance(expression, str):
+            text = expression
+            if span is None:
+                expression = parse_path_expression(text)
+            else:
+                with get_tracer().span("parse"):
+                    expression = parse_path_expression(text)
                 span.set(expression=str(expression))
             key = self._cache_key(str(expression))
-            with tracer.span("cache_lookup") as lookup:
+            if len(self._text_keys) >= _TEXT_KEY_LIMIT:
+                self._text_keys.clear()
+            self._text_keys[text] = key
+        else:
+            key = self._cache_key(str(expression))
+        if span is None:
+            cached = self.compiled.cache.get(key)
+        else:
+            with get_tracer().span("cache_lookup") as lookup:
                 cached = self.compiled.cache.get(key)
                 lookup.set(hit=cached is not None)
-            audit = get_audit()
-            if audit.enabled:
-                self._audit_cache(audit, str(expression), cached, key)
-            if cached is not None:
+        audit = get_audit()
+        if audit.enabled:
+            self._audit_cache(audit, str(expression), cached, key)
+        if cached is not None:
+            if span is not None:
                 span.set(cache="hit")
-                get_metrics().record_completion(cached.stats, cached=True)
-                return cached
-            result = self._complete_governed(expression, budget)
-            if result.exhausted:
-                self.compiled.cache.put(key, result)
-            else:
-                span.set(truncated=result.truncation_reason)
+            get_metrics().record_completion(cached.stats, cached=True)
+        return expression, key, cached
+
+    def _fill(
+        self,
+        expression: PathExpression,
+        key: tuple,
+        budget: Budget | None,
+        span=None,
+    ) -> CompletionResult:
+        """Search, cache an exhaustive result, record the miss."""
+        result = self._complete_governed(expression, budget)
+        if result.exhausted:
+            self.compiled.cache.put(key, result)
+        elif span is not None:
+            span.set(truncated=result.truncation_reason)
+        if span is not None:
             span.set(cache="miss", paths=len(result.paths))
-            get_metrics().record_completion(result.stats, cached=False)
-            return result
+        get_metrics().record_completion(result.stats, cached=False)
+        return result
 
     def complete_batch(
         self,

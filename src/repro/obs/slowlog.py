@@ -47,7 +47,13 @@ from collections import deque
 from contextvars import ContextVar
 from typing import IO, Iterator
 
-from repro.obs.tracer import RecordingTracer, get_tracer, use_tracer
+from repro.obs.tracer import (
+    RecordingTracer,
+    flatten_spans,
+    get_tracer,
+    span_events,
+    use_tracer,
+)
 
 __all__ = [
     "NullSlowQueryLog",
@@ -176,6 +182,8 @@ class Observation:
     :meth:`record_result` copies the budget outcome and stats off a
     :class:`~repro.core.completion.CompletionResult`-shaped object;
     :meth:`set` attaches extra attributes (row counts, query ids).
+    A retained observation is kept as is and turned into a
+    :class:`SlowLogEntry` only when the log is read.
     """
 
     __slots__ = (
@@ -190,6 +198,7 @@ class Observation:
         "error",
         "stats",
         "promoted",
+        "abandoned",
     )
 
     def __init__(
@@ -210,8 +219,10 @@ class Observation:
         self.exhausted = True
         self.truncation_reason: str | None = None
         self.error: str | None = None
-        self.stats: dict | None = None
+        #: The result's stats object; ``as_dict()`` runs when read.
+        self.stats: object | None = None
         self.promoted: str | None = None
+        self.abandoned = False
 
     def set(self, **attrs: object) -> "Observation":
         self.attrs.update(attrs)
@@ -227,13 +238,23 @@ class Observation:
         self.promoted = reason
         return self
 
+    def abandon(self) -> "Observation":
+        """Drop this observation: the query is observed again elsewhere.
+
+        Neither counted nor considered for retention — the serving tier
+        abandons an event-loop attempt whose cache hit vanished and
+        observes the request again on a worker.
+        """
+        self.abandoned = True
+        return self
+
     def record_result(self, result: object) -> None:
         """Copy budget outcome and stats from a completion result."""
         self.exhausted = bool(getattr(result, "exhausted", True))
         self.truncation_reason = getattr(result, "truncation_reason", None)
         stats = getattr(result, "stats", None)
         if stats is not None and hasattr(stats, "as_dict"):
-            self.stats = stats.as_dict()
+            self.stats = stats
         paths = getattr(result, "paths", None)
         if paths is not None:
             self.attrs.setdefault("paths", len(paths))
@@ -248,6 +269,9 @@ class _NullObservation:
         return self
 
     def promote(self, reason: str = RETAINED_PROMOTED) -> "_NullObservation":
+        return self
+
+    def abandon(self) -> "_NullObservation":
         return self
 
     def record_result(self, result: object) -> None:
@@ -301,9 +325,10 @@ class SlowQueryLog:
         self.promote_failures = promote_failures
         self._seq = 0
         self._observed = 0
-        self._by_threshold: deque[SlowLogEntry] = deque(maxlen=capacity)
-        #: Min-heap of (elapsed_ms, seq, entry) — the current top-K.
-        self._heap: list[tuple[float, int, SlowLogEntry]] = []
+        #: Retained queries as plain data, see :meth:`_consider`.
+        self._by_threshold: deque[tuple] = deque(maxlen=capacity)
+        #: Min-heap of (elapsed_ms, seq, retained query) — the top-K.
+        self._heap: list[tuple[float, int, tuple]] = []
         self._lock = threading.Lock()
 
     # -- the entry-point hook -----------------------------------------
@@ -369,20 +394,26 @@ class SlowQueryLog:
             raise
         finally:
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            source = private if private is not None else tracer
-            roots = list(source.roots[roots_before:])  # type: ignore[union-attr]
-            self._consider(observation, elapsed_ms, source, roots)
+            if not observation.abandoned:
+                source = private if private is not None else tracer
+                roots = source.roots[roots_before:]  # type: ignore[union-attr]
+                self._consider(observation, elapsed_ms, roots)
             _OBSERVING.reset(token)
 
     # -- retention ----------------------------------------------------
 
     def _consider(
-        self,
-        observation: Observation,
-        elapsed_ms: float,
-        tracer: RecordingTracer,
-        roots: list,
+        self, observation: Observation, elapsed_ms: float, roots: list
     ) -> None:
+        """Decide retention; keep a retained query as plain data.
+
+        The kept ``(seq, elapsed_ms, retained, observation, spans)``
+        tuple holds the observation (its stats object unconverted) and
+        one flat tuple per span (:func:`~repro.obs.tracer.flatten_spans`)
+        — never the spans or the tracer themselves, so the trace's
+        object graph is freed now.  :func:`_entry` builds the
+        :class:`SlowLogEntry` when the log is read.
+        """
         with self._lock:
             self._observed += 1
             seq = self._seq
@@ -407,21 +438,8 @@ class SlowQueryLog:
                 retained = promoted
             else:
                 retained = RETAINED_TOP_K
-            entry = SlowLogEntry(
-                seq=seq,
-                kind=observation.kind,
-                query=observation.query,
-                e=observation.e,
-                pruning=observation.pruning,
-                delta=observation.delta,
-                elapsed_ms=elapsed_ms,
-                exhausted=observation.exhausted,
-                truncation_reason=observation.truncation_reason,
-                error=observation.error,
-                retained=retained,
-                stats=observation.stats,
-                attrs=_jsonable_attrs(observation.attrs),
-                spans=tracer.to_events(roots),
+            entry = (
+                seq, elapsed_ms, retained, observation, flatten_spans(roots)
             )
             if over_threshold or (promoted is not None and not in_top_k):
                 # Promotions share the threshold ring so `capacity`
@@ -441,16 +459,20 @@ class SlowQueryLog:
         with self._lock:
             return self._observed
 
-    def entries(self) -> list[SlowLogEntry]:
-        """The retained entries in arrival (seq) order, deduplicated."""
+    def _retained(self) -> list[tuple]:
+        """The retained queries in arrival (seq) order, deduplicated."""
         with self._lock:
-            merged = {entry.seq: entry for entry in self._by_threshold}
-            for _, _, entry in self._heap:
-                merged.setdefault(entry.seq, entry)
+            merged = {entry[0]: entry for entry in self._by_threshold}
+            for _, seq, entry in self._heap:
+                merged.setdefault(seq, entry)
         return [merged[seq] for seq in sorted(merged)]
 
+    def entries(self) -> list[SlowLogEntry]:
+        """The retained entries in arrival (seq) order, deduplicated."""
+        return [_entry(*retained) for retained in self._retained()]
+
     def __len__(self) -> int:
-        return len(self.entries())
+        return len(self._retained())
 
     def render(self, limit: int | None = None) -> str:
         """Human-readable dump, slowest first."""
@@ -460,7 +482,7 @@ class SlowQueryLog:
         if not entries:
             return "slow-query log is empty"
         lines = [
-            f"{len(self.entries())} retained of {self.observed} observed "
+            f"{len(self)} retained of {self.observed} observed "
             f"(threshold "
             + (
                 f"{self.threshold_ms:g}ms"
@@ -506,6 +528,34 @@ class SlowQueryLog:
             f"SlowQueryLog(threshold_ms={self.threshold_ms}, "
             f"top_k={self.top_k}, retained={len(self)})"
         )
+
+
+def _entry(
+    seq: int,
+    elapsed_ms: float,
+    retained: str,
+    observation: Observation,
+    spans: list[tuple],
+) -> SlowLogEntry:
+    """The :class:`SlowLogEntry` of one query :meth:`SlowQueryLog._consider`
+    kept."""
+    stats = observation.stats
+    return SlowLogEntry(
+        seq=seq,
+        kind=observation.kind,
+        query=observation.query,
+        e=observation.e,
+        pruning=observation.pruning,
+        delta=observation.delta,
+        elapsed_ms=elapsed_ms,
+        exhausted=observation.exhausted,
+        truncation_reason=observation.truncation_reason,
+        error=observation.error,
+        retained=retained,
+        stats=stats.as_dict() if stats is not None else None,
+        attrs=_jsonable_attrs(observation.attrs),
+        spans=span_events(spans),
+    )
 
 
 def _jsonable_attrs(attrs: dict) -> dict:

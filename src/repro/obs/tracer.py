@@ -38,7 +38,9 @@ __all__ = [
     "NullTracer",
     "RecordingTracer",
     "Span",
+    "flatten_spans",
     "get_tracer",
+    "span_events",
     "use_tracer",
 ]
 
@@ -269,41 +271,8 @@ class RecordingTracer:
         (the slow-query log exports one query's trees this way); by
         default every recorded root is exported.
         """
-        records: list[dict] = []
-        next_id = 0
-        for root in self.roots if roots is None else roots:
-            epoch = root.start
-            ids: dict[int, int] = {}
-            parents: dict[int, int | None] = {id(root): None}
-            for span, depth in root.walk():
-                span_id = next_id
-                next_id += 1
-                ids[id(span)] = span_id
-                for child in span.children:
-                    parents[id(child)] = span_id
-                records.append(
-                    {
-                        "type": "span",
-                        "id": span_id,
-                        "parent": parents.get(id(span)),
-                        "name": span.name,
-                        "depth": depth,
-                        "start_ms": (span.start - epoch) * 1000,
-                        "duration_ms": span.duration * 1000,
-                        "attrs": _jsonable(span.attrs),
-                    }
-                )
-                for at, name, attrs in span.events:
-                    records.append(
-                        {
-                            "type": "event",
-                            "span": span_id,
-                            "name": name,
-                            "at_ms": (at - epoch) * 1000,
-                            "attrs": _jsonable(attrs),
-                        }
-                    )
-        return records
+        chosen = self.roots if roots is None else roots
+        return span_events(flatten_spans(chosen))
 
     def write_jsonl(self, target: str | IO[str]) -> int:
         """Write the event log as JSON lines; returns the record count."""
@@ -320,6 +289,75 @@ class RecordingTracer:
 
     def __repr__(self) -> str:
         return f"RecordingTracer(roots={len(self.roots)}, spans={self.span_count})"
+
+
+def flatten_spans(roots: list[Span]) -> list[tuple]:
+    """Closed span trees as flat tuples, one per span, in pre-order.
+
+    Each tuple is ``(name, parent, depth, start, duration, attrs,
+    events)``: ``parent`` is the index of the parent's tuple (``None``
+    for a root), ``start`` and each event's time are seconds since
+    the root span started, and ``events`` holds ``(at, name, attrs)``.
+    The tuples share the spans' attribute dicts but hold no span, so
+    keeping them keeps no tree alive.  :func:`span_events` renders
+    them.
+    """
+    flat: list[tuple] = []
+    for root in roots:
+        epoch = root.start
+        stack: list[tuple[Span, int | None, int]] = [(root, None, 0)]
+        while stack:
+            span, parent, depth = stack.pop()
+            index = len(flat)
+            flat.append(
+                (
+                    span.name,
+                    parent,
+                    depth,
+                    span.start - epoch,
+                    span.duration,
+                    span.attrs,
+                    tuple(
+                        (at - epoch, name, attrs)
+                        for at, name, attrs in span.events
+                    ),
+                )
+            )
+            for child in reversed(span.children):
+                stack.append((child, index, depth + 1))
+    return flat
+
+
+def span_events(flat: list[tuple]) -> list[dict]:
+    """The event-log records (see :meth:`RecordingTracer.to_events`) of
+    :func:`flatten_spans` output."""
+    records: list[dict] = []
+    for span_id, (name, parent, depth, start, duration, attrs, events) in (
+        enumerate(flat)
+    ):
+        records.append(
+            {
+                "type": "span",
+                "id": span_id,
+                "parent": parent,
+                "name": name,
+                "depth": depth,
+                "start_ms": start * 1000,
+                "duration_ms": duration * 1000,
+                "attrs": _jsonable(attrs),
+            }
+        )
+        for at, event, event_attrs in events:
+            records.append(
+                {
+                    "type": "event",
+                    "span": span_id,
+                    "name": event,
+                    "at_ms": at * 1000,
+                    "attrs": _jsonable(event_attrs),
+                }
+            )
+    return records
 
 
 def _jsonable(attrs: dict) -> dict:

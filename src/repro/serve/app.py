@@ -29,11 +29,19 @@ instead of collapsing it*:
   best-so-far ``206`` within one budget-check stride.  No worker is
   ever killed mid-traversal; the executor never leaks a thread.
 
-* **Event-loop isolation.**  The synchronous engine only ever runs on
-  the bounded executor pool, inside a :func:`contextvars.copy_context`
-  copy, with the tier's metrics registry and slow-query log installed
-  as that request's ambient observability — requests cannot see each
-  other's context, and the engine never blocks the accept loop.
+* **Event-loop isolation, with a warm lane.**  Every search runs on
+  the bounded executor pool, so the engine never blocks the accept
+  loop.  A completion whose answer is cached
+  (:meth:`~repro.core.engine.Disambiguator.is_cached`) is answered on
+  the loop thread by :meth:`~repro.core.engine.Disambiguator.probe`,
+  which never searches; the executor hop would cost far more than the
+  hit.  If the entry has vanished by then, the probe's miss is the one
+  counted and the request moves to the pool, which runs
+  :meth:`~repro.core.engine.Disambiguator.fill` without looking the key
+  up again.  Both lanes run inside one
+  :func:`contextvars.copy_context` copy, with the tier's metrics
+  registry and slow-query log installed as that request's ambient
+  observability — requests cannot see each other's context.
 
 * **Bounded memory.**  After every cache-filling request the
   cross-tenant governor (:class:`~repro.serve.tenants.TenantRegistry`)
@@ -401,18 +409,7 @@ class ServingTier:
     ) -> None:
         while True:
             try:
-                request = await asyncio.wait_for(
-                    read_request(reader, self.config.max_body_bytes),
-                    timeout=self.config.request_timeout_s,
-                )
-            except asyncio.TimeoutError:
-                await self._write(
-                    writer,
-                    self._json_bytes(
-                        408, {"error": "request timed out"}, keep_alive=False
-                    ),
-                )
-                return
+                request = await self._read_request(reader)
             except HttpError as error:
                 await self._write(
                     writer,
@@ -429,6 +426,41 @@ class ServingTier:
             await self._write(writer, response)
             if not keep_alive:
                 return
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> Request | None:
+        """:func:`read_request` within ``request_timeout_s`` (else 408).
+
+        One timer cancels this task at the deadline;
+        :func:`asyncio.wait_for` would start a new task for every read.
+        The task is suspended only inside the read while the timer is
+        armed, so the cancellation always lands there.
+        """
+        task = asyncio.current_task()
+        assert self._loop is not None and task is not None
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        deadline = self._loop.call_later(
+            self.config.request_timeout_s, expire
+        )
+        try:
+            return await read_request(reader, self.config.max_body_bytes)
+        except asyncio.CancelledError:
+            if not expired:
+                raise  # drain hard-cancel, not the deadline
+            # Python >= 3.11 counts cancellations: withdraw ours, and
+            # re-raise when the task was also cancelled from outside.
+            if hasattr(task, "uncancel") and task.uncancel() > 0:
+                raise
+            raise HttpError(408, "request timed out") from None
+        finally:
+            deadline.cancel()
 
     @staticmethod
     async def _write(writer: asyncio.StreamWriter, response: bytes) -> None:
@@ -650,7 +682,7 @@ class ServingTier:
             "access_log": self.access_log.stats(),
             "slowlog": {
                 "observed": self.slowlog.observed,
-                "retained": len(self.slowlog.entries()),
+                "retained": len(self.slowlog),
                 "threshold_ms": self.slowlog.threshold_ms,
                 "top_k": self.slowlog.top_k,
                 "capacity": self.slowlog.capacity,
@@ -688,7 +720,12 @@ class ServingTier:
     async def _admit(
         self, request: Request, build_job
     ) -> tuple[int, dict, dict[str, str] | None]:
-        """Load-shed or run ``build_job(request)()`` on the pool."""
+        """Load-shed, or run ``build_job(request)``'s job.
+
+        The job is first called inline (``job(True)``): it answers a
+        cache hit on the loop thread and returns ``None`` otherwise;
+        only then does ``job()`` run on the pool.
+        """
         if self._draining:
             assert self._drain_hard_at is not None
             remaining = max(0.0, self._drain_hard_at - time.monotonic())
@@ -710,16 +747,20 @@ class ServingTier:
             )
         # Parse on the loop thread (cheap, fails fast with 400) …
         job = build_job(request)
-        # … run the engine on the pool in an isolated context copy.
+        # … answer a cache hit right here, and run everything else on
+        # the pool — both in one isolated context copy.
         assert self._loop is not None and self._idle is not None
         self._pending += 1
         self._idle.clear()
         self.metrics.gauge("serve.pending").set(float(self._pending))
         context = contextvars.copy_context()
         try:
-            status, payload = await self._loop.run_in_executor(
-                self._pool, context.run, job
-            )
+            answer = context.run(job, True)
+            if answer is None:
+                answer = await self._loop.run_in_executor(
+                    self._pool, context.run, job
+                )
+            status, payload = answer
         finally:
             self._pending -= 1
             self.metrics.gauge("serve.pending").set(float(self._pending))
@@ -755,7 +796,8 @@ class ServingTier:
 
     @contextlib.contextmanager
     def _request_scope(self, kind: str, query: str, **attrs):
-        """Worker-side ambient scope for one admitted request.
+        """Ambient scope for one admitted request (on the loop thread
+        for a warm hit, on a worker otherwise).
 
         Installs the tier's metrics registry and slow log, a fresh
         :class:`RecordingTracer` when the head sampler picked this
@@ -794,19 +836,45 @@ class ServingTier:
             raise HttpError(400, "'e' must be a positive integer")
         tenant = self._resolve_tenant(payload)
         budget = self._request_budget(request)
+        #: The tenant cache's (hits, misses) before this request's one
+        #: lookup; already set on the pool call after a missed probe.
+        counted: tuple[int, int] | None = None
 
-        def job() -> tuple[int, dict]:
+        def job(inline: bool = False) -> tuple[int, dict] | None:
+            """Answer the request; ``inline`` on the loop thread.
+
+            An inline call answers a cache hit only and returns ``None``
+            otherwise.  It skips texts the engine does not hold (nothing
+            counted); if the entry vanished before its probe (a
+            concurrent eviction, an injected cache fault), the probe has
+            counted the miss and the pool call searches with
+            :meth:`Disambiguator.fill`, which does not look up again.
+            """
+            nonlocal counted
+            engine = tenant.engine(e)
+            if inline and not engine.is_cached(expression):
+                return None
             # A cache-hit result carries the *original* traversal's
             # stats; the per-request hit/miss picture is the artifact
             # counters' delta across this completion.
             cache = tenant.compiled.cache
-            hits_before = cache.hits
-            misses_before = cache.misses
+            probed = counted is not None
+            if not probed:
+                counted = (cache.hits, cache.misses)
+            hits_before, misses_before = counted
             with self._request_scope(
                 "serve.complete", expression, e=e, tenant=tenant.name
             ) as obs:
                 with use_budget(budget):
-                    result = tenant.engine(e).complete(expression)
+                    if inline:
+                        result = engine.probe(expression)
+                    elif probed:
+                        result = engine.fill(expression)
+                    else:
+                        result = engine.complete(expression)
+                if result is None:
+                    obs.abandon()  # the pool call observes the request
+                    return None
                 obs.record_result(result)
             self.tenants.enforce_memory_bound()
             status = 200 if result.exhausted else 206
@@ -850,7 +918,9 @@ class ServingTier:
             )
         budget = self._request_budget(request)
 
-        def job() -> tuple[int, dict]:
+        def job(inline: bool = False) -> tuple[int, dict] | None:
+            if inline:
+                return None  # queries always run on the pool
             with self._request_scope(
                 "serve.query", text, tenant=tenant.name
             ):

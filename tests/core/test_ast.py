@@ -1,5 +1,7 @@
 """Tests for the path-expression AST and concrete paths."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.connectors import Connector
@@ -117,3 +119,51 @@ class TestConcretePath:
         assert step2.startswith(step1)
         assert step2.startswith(path)
         assert not step1.startswith(step2)
+
+
+class TestMemoizedText:
+    """``str()`` of an expression or a path is cached in the instance
+    ``__dict__``; nothing else about the value may change."""
+
+    @staticmethod
+    def _path(graph):
+        path = ConcretePath.start("ta")
+        path = path.extend(_edge(graph, "ta", "grad"))
+        return path.extend(_edge(graph, "grad", "student"))
+
+    def test_expression_text_is_cached_and_stable(self):
+        expression = PathExpression("ta", (Step.tilde("name"),))
+        repr_before = repr(expression)
+        hash_before = hash(expression)
+        assert str(expression) == "ta~name"
+        assert str(expression) is str(expression)
+        assert repr(expression) == repr_before
+        assert hash(expression) == hash_before
+        fresh = PathExpression("ta", (Step.tilde("name"),))
+        assert expression == fresh and hash(expression) == hash(fresh)
+        assert {expression: 1}[fresh] == 1
+
+    def test_path_text_is_cached_and_stable(self, university_graph):
+        path = self._path(university_graph)
+        repr_before = repr(path)
+        hash_before = hash(path)
+        assert str(path) == "ta@>grad@>student"
+        assert str(path) is str(path)
+        assert repr(path) == repr_before
+        assert hash(path) == hash_before
+        fresh = self._path(university_graph)
+        assert path == fresh and hash(path) == hash(fresh)
+        assert {path: 1}[fresh] == 1
+
+    def test_pickle_round_trips(self, university_graph):
+        expression = PathExpression("ta", (Step.tilde("name"),))
+        path = self._path(university_graph)
+        for value in (expression, path):
+            cold = pickle.loads(pickle.dumps(value))
+            str(value)  # fill the cache, then round-trip again
+            warm = pickle.loads(pickle.dumps(value))
+            for copy in (cold, warm):
+                assert copy == value
+                assert hash(copy) == hash(value)
+                assert repr(copy) == repr(value)
+                assert str(copy) == str(value)

@@ -79,3 +79,42 @@ class TestConfiguration:
 
     def test_repr_mentions_schema(self, university_engine):
         assert "university" in repr(university_engine)
+
+
+class TestProbeAndFill:
+    """``complete()`` split into its cache half and its search half."""
+
+    @staticmethod
+    def _engine(university):
+        from repro.core.compiled import CompiledSchema
+
+        return Disambiguator(CompiledSchema(university))
+
+    def test_probe_misses_then_fill_counts_no_second_miss(self, university):
+        engine = self._engine(university)
+        cache = engine.compiled.cache
+        assert not engine.is_cached("ta ~ name")
+        assert engine.probe("ta ~ name") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        filled = engine.fill("ta ~ name")
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert filled.expressions == self._engine(university).complete(
+            "ta ~ name"
+        ).expressions
+        assert engine.is_cached("ta ~ name")
+        assert engine.probe("ta ~ name") is filled
+        assert engine.complete("ta ~ name") is filled
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_is_cached_is_a_hint_that_counts_nothing(self, university):
+        engine = self._engine(university)
+        engine.complete("ta ~ name")
+        cache = engine.compiled.cache
+        counts = (cache.hits, cache.misses)
+        assert engine.is_cached("ta ~ name")
+        # Only texts this engine has probed are known, spelled exactly.
+        assert not engine.is_cached("ta~name")
+        assert not engine.is_cached("not an expression ~")
+        assert (cache.hits, cache.misses) == counts
+        cache.clear()
+        assert not engine.is_cached("ta ~ name")

@@ -1,5 +1,7 @@
 """Tests for TraversalStats aggregation and timing conventions."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.stats import TraversalStats
@@ -72,3 +74,34 @@ class TestRecordTo:
         stats = TraversalStats(recursive_calls=2)
         stats.record_to(probe)
         assert probe.seen == [stats]
+
+
+class TestAsDict:
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            TraversalStats(),
+            TraversalStats(
+                recursive_calls=8,
+                edges_considered=21,
+                budget_trips=1,
+                elapsed_seconds=0.5,
+                cache_hits=2,
+                compile_seconds=0.25,
+            ),
+        ],
+    )
+    def test_matches_dataclasses_asdict_key_for_key(self, stats):
+        expected = dataclasses.asdict(stats) | {
+            "seconds_per_call": stats.seconds_per_call
+        }
+        view = stats.as_dict()
+        assert view == expected
+        assert list(view) == list(expected)
+
+    def test_is_a_fresh_dict(self):
+        stats = TraversalStats(recursive_calls=1)
+        view = stats.as_dict()
+        view["recursive_calls"] = 99
+        assert stats.recursive_calls == 1
+        assert stats.as_dict() is not view

@@ -1,8 +1,10 @@
 """Tests for the tail-based slow-query log (repro.obs.slowlog)."""
 
+import gc
 import io
 import json
 import time
+import weakref
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.obs.slowlog import (
     get_slowlog,
     use_slowlog,
 )
-from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.obs.tracer import RecordingTracer, get_tracer, use_tracer
 from repro.resilience.budget import Budget
 from repro.schemas.cupid import build_cupid_schema
 from repro.schemas.university import build_university_schema
@@ -161,6 +163,47 @@ class TestEngineIntegration:
         assert entry.exhausted is False
         assert entry.truncation_reason == "nodes"
         assert entry.error is None
+
+
+class TestLazyEntries:
+    def test_retained_entries_keep_no_trace_objects(self):
+        """A retained query is kept as plain data: once its observation
+        closes, the private tracer (which every span points back to)
+        is garbage."""
+        log = SlowQueryLog(threshold_ms=0.0)
+        engine = Disambiguator(CompiledSchema(build_university_schema()))
+        with use_slowlog(log):
+            with log.observe("complete", "ta ~ name") as obs:
+                tracer = weakref.ref(get_tracer())
+                result = engine.complete("ta ~ name")
+                obs.record_result(result)
+        gc.collect()
+        assert tracer() is None
+        (entry,) = log.entries()
+        assert entry.stats == result.stats.as_dict()
+        assert [span["name"] for span in entry.spans][:2] == [
+            "complete",
+            "parse",
+        ]
+
+    def test_reads_build_the_same_records_each_time(self):
+        log = SlowQueryLog(threshold_ms=0.0)
+        engine = Disambiguator(CompiledSchema(build_university_schema()))
+        with use_slowlog(log):
+            engine.complete("ta ~ name")
+            engine.complete("ta ~ name")
+        assert len(log) == 2
+        assert log.to_records() == log.to_records()
+        assert [entry.seq for entry in log.entries()] == [0, 1]
+
+    def test_abandoned_observation_is_neither_counted_nor_kept(self):
+        log = SlowQueryLog(threshold_ms=0.0)
+        with log.observe("complete", "given up") as obs:
+            obs.abandon()
+        with log.observe("complete", "kept"):
+            pass
+        assert log.observed == 1
+        assert [entry.query for entry in log.entries()] == ["kept"]
 
 
 class TestExport:

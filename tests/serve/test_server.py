@@ -196,6 +196,67 @@ class TestKeepAliveConnections:
             connection.close()
 
 
+class TestRequestTimeout:
+    def test_stalled_header_block_gets_408(self, university):
+        """A client that sends part of a header block and stalls gets a
+        408 once ``request_timeout_s`` passes, and the connection is
+        closed."""
+        import socket
+        import time
+
+        tier = make_tier(
+            {"university": university},
+            config=ServeConfig(request_timeout_s=0.3),
+        )
+        try:
+            with socket.create_connection(tier.address, timeout=10) as sock:
+                sock.sendall(b"POST /v1/complete HTTP/1.1\r\nHost: x\r\n")
+                started = time.monotonic()
+                received = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    received += chunk
+                waited = time.monotonic() - started
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408")
+            assert b"connection: close" in head.lower()
+            assert json.loads(body) == {"error": "request timed out"}
+            assert 0.2 < waited < 5.0
+            # The tier stays healthy for the next caller.
+            assert raw_client(tier).complete("ta ~ name").status == 200
+        finally:
+            tier.stop(drain=False)
+
+    def test_each_read_gets_a_fresh_deadline(self, university):
+        """Requests on one keep-alive connection may together outlast
+        ``request_timeout_s``: the deadline covers one read at a time."""
+        import http.client
+        import time
+
+        tier = make_tier(
+            {"university": university},
+            config=ServeConfig(request_timeout_s=0.4),
+        )
+        host, port = tier.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for _ in range(3):
+                connection.request(
+                    "POST",
+                    "/v1/complete",
+                    body=json.dumps({"expression": "ta ~ name"}),
+                )
+                raw = connection.getresponse()
+                raw.read()
+                assert raw.status == 200
+                time.sleep(0.25)
+        finally:
+            connection.close()
+            tier.stop(drain=False)
+
+
 class TestConfigValidation:
     def test_rejects_nonpositive_queue(self):
         with pytest.raises(ValueError):
