@@ -7,13 +7,14 @@ artifact:
 * a *telemetry* pass under a :class:`~repro.obs.metrics.MetricsRegistry`
   plus a :class:`~repro.obs.slowlog.SlowQueryLog` (the serving
   configuration: counters always on, traces retained tail-based);
-* a *scrape* of the registry through a live
-  :class:`~repro.obs.serve.MetricsServer` endpoint.
+* a *scrape* of the registry through a live serving tier's
+  ``GET /metrics`` endpoint.
 
 The contract under test: the telemetry pass returns identical ranked
 paths, the slow log retains only its top-K, the exported JSONL
-validates against ``slowlog_entry.schema.json``, and the Prometheus
-exposition served over HTTP equals the one rendered directly.
+validates against ``slowlog_entry.schema.json``, and every line of the
+directly rendered Prometheus exposition is served over HTTP byte for
+byte (the tier adds its own ``serve``/``slo`` series around them).
 
 Artifacts land at the repo root — ``BENCH_prom.txt`` (one scrape
 snapshot) and ``BENCH_slowlog.jsonl`` (the retained slow queries) —
@@ -36,8 +37,8 @@ from repro.core.engine import Disambiguator
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.promtext import render_prometheus
 from repro.obs.schema import validate_slowlog_entries
-from repro.obs.serve import MetricsServer
 from repro.obs.slowlog import SlowQueryLog, use_slowlog
+from repro.serve import ServeConfig, ServingTier, TenantRegistry
 
 _ROOT = pathlib.Path(__file__).parent.parent
 _PROM_FILE = _ROOT / "BENCH_prom.txt"
@@ -79,13 +80,21 @@ def test_serving_telemetry_under_workload(cupid, oracle):
     validate_slowlog_entries(records)
     slowlog.write_jsonl(_SLOWLOG_FILE)
 
-    # Scrape the registry over a live HTTP endpoint and check it matches
-    # the directly rendered exposition byte for byte.
-    with MetricsServer(registry, port=0) as server:
-        with urllib.request.urlopen(server.url, timeout=10) as response:
-            scraped = response.read().decode("utf-8")
+    # Scrape the registry over a live serving tier and check that every
+    # directly rendered exposition line is served byte for byte.
     direct = render_prometheus(registry)
-    assert scraped == direct
+    tenants = TenantRegistry(max_cache_bytes=64 * 1024 * 1024)
+    tenants.add("cupid", compiled)
+    tier = ServingTier(tenants, ServeConfig(port=0), metrics=registry)
+    tier.run_in_thread()
+    try:
+        url = f"{tier.url}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            scraped = response.read().decode("utf-8")
+    finally:
+        tier.stop(drain=False)
+    missing = set(direct.splitlines()) - set(scraped.splitlines())
+    assert not missing, sorted(missing)[:5]
     _PROM_FILE.write_text(scraped)
 
     record_bench("serving.bare_seconds", bare_seconds, e=E, quick=QUICK)
@@ -105,7 +114,7 @@ def test_serving_telemetry_under_workload(cupid, oracle):
         f"slow log:  {len(entries)} of {slowlog.observed} retained "
         f"(top-{TOP_K}) -> {_SLOWLOG_FILE.name}",
         f"scrape:    {len(scraped.splitlines())} exposition line(s) from "
-        f"{server.url} -> {_PROM_FILE.name}",
+        f"{url} -> {_PROM_FILE.name}",
         f"sample:    {sample}",
     ]
     emit("Serving telemetry: metrics scrape + tail-based slow log", "\n".join(lines))

@@ -84,6 +84,11 @@ def estimate_result_bytes(value: CompletionResult) -> int:
     key tuple, dict slot, and result shell.  Computed once per ``put``
     (puts are cold-path), never on lookups.
 
+    Also charged: the served-JSON memo
+    (:meth:`~repro.core.completion.CompletionResult.paths_json`), as if
+    rendered — a string shell plus each path and label text with its
+    quoting (ASCII texts; escapes of other characters are not counted).
+
     Duck-typed on purpose: tests (and fault wrappers) park sentinel
     values in the cache, which are charged the fixed shell only.
     """
@@ -92,6 +97,10 @@ def estimate_result_bytes(value: CompletionResult) -> int:
         size += 96 + 2 * len(str(path))
     size += 64 * len(getattr(value, "labels", ()))
     size += 48 * len(getattr(value, "support", ()))
+    if hasattr(value, "paths_json"):
+        size += 72 + sum(
+            len(str(text)) + 4 for text in (*value.paths, *value.labels)
+        )
     return size
 
 #: Accepted values of the ``delta`` knob of :meth:`CompiledSchema.evolve`.

@@ -24,6 +24,7 @@ counts what would be recursive invocations.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 
 from repro.algebra.agg import Aggregator
@@ -110,6 +111,27 @@ class CompletionResult:
     def is_partial(self) -> bool:
         """True for anytime results (budget-truncated or degraded)."""
         return not self.exhausted
+
+    def paths_json(self) -> str:
+        """The ``"labels": [...], "paths": [...]`` members of a JSON
+        object holding this result's label and path texts, exactly as
+        ``json.dumps(..., sort_keys=True)`` renders them.
+
+        Memoized on the result and freed with it, so a cached result
+        renders its texts once however often it is served;
+        :func:`~repro.core.compiled.estimate_result_bytes` charges the
+        memo to the cache entry.
+        """
+        text = self.__dict__.get("_paths_json")
+        if text is None:
+            text = (
+                '"labels": '
+                + json.dumps([str(label) for label in self.labels])
+                + ', "paths": '
+                + json.dumps([str(path) for path in self.paths])
+            )
+            object.__setattr__(self, "_paths_json", text)
+        return text
 
     def __str__(self) -> str:
         suffix = (

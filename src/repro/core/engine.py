@@ -190,9 +190,10 @@ class Disambiguator:
             max_depth=max_depth,
             pruning=self.pruning,
         )
-        #: Request text -> cache key of every text probed so far, so
-        #: :meth:`is_cached` needs no parse (cleared when full).
-        self._text_keys: dict[str, tuple] = {}
+        #: Request text -> (parsed expression, cache key) of every text
+        #: probed so far, so neither :meth:`is_cached` nor a repeated
+        #: probe parses (cleared when full).
+        self._text_keys: dict[str, tuple[PathExpression, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Completion entry points
@@ -220,28 +221,43 @@ class Disambiguator:
         semantics); warm cache hits are served regardless of budget —
         the cache only ever holds exhaustive results.
         """
+        return self.complete_outcome(expression, budget)[0]
+
+    def complete_outcome(
+        self,
+        expression: str | PathExpression,
+        budget: Budget | None = None,
+    ) -> tuple[CompletionResult, bool]:
+        """:meth:`complete`, plus whether its cache lookup hit.
+
+        The serving tier reports each request's own lookup outcome
+        from this flag: the cache's shared hit/miss counters also move
+        with every concurrent request.
+        """
         slowlog = get_slowlog()
         if not slowlog.enabled:
             return self._complete_impl(expression, budget)
         # Tail-based slow-query logging: the observation records the
-        # span tree (installing a private tracer when none is ambient),
-        # elapsed time, and budget outcome; nested observations (e.g.
-        # inside a session ask) no-op so the outermost owns the query.
+        # spans (installing a private recorder when no tracer is
+        # ambient), elapsed time, and budget outcome; nested
+        # observations (e.g. inside a session ask) no-op so the
+        # outermost owns the query.
         with slowlog.observe(
             "complete", str(expression), e=self.e, pruning=self.pruning
         ) as obs:
-            result = self._complete_impl(expression, budget)
+            result, hit = self._complete_impl(expression, budget)
             obs.record_result(result)
-            return result
+            return result, hit
 
     def probe(
         self, expression: str | PathExpression
     ) -> CompletionResult | None:
         """:meth:`complete`'s cache half: the cached result, or ``None``.
 
-        Parses the expression once, computes its cache key, looks it
-        up, writes the ``cache`` audit record and, on a hit, records the
-        hit metrics — exactly what :meth:`complete` does before it would
+        Parses the expression (a text this engine has seen before is
+        not parsed again), computes its cache key, looks it up, writes
+        the ``cache`` audit record and, on a hit, records the hit
+        metrics — exactly what :meth:`complete` does before it would
         search.  It never searches, so it is safe on a thread that must
         not block (the serving tier answers hits on its event loop).
         Unlike :meth:`complete`, neither half opens a slow-log
@@ -273,8 +289,9 @@ class Disambiguator:
         """
         tracer = get_tracer()
         if isinstance(expression, str):
-            expression = parse_path_expression(expression)
-        key = self._cache_key(str(expression))
+            expression, key = self._parsed(expression)
+        else:
+            key = self._cache_key(str(expression))
         if not tracer.enabled:
             return self._fill(expression, key, budget)
         with tracer.span(
@@ -291,15 +308,16 @@ class Disambiguator:
         and never an answer: the entry can vanish before the
         :meth:`probe` that reads it.
         """
-        key = self._text_keys.get(text)
-        return key is not None and self.compiled.cache.contains(key)
+        memo = self._text_keys.get(text)
+        return memo is not None and self.compiled.cache.contains(memo[1])
 
     def _complete_impl(
         self,
         expression: str | PathExpression,
         budget: Budget | None = None,
-    ) -> CompletionResult:
-        """:meth:`complete` minus the slow-log hook: probe, then fill."""
+    ) -> tuple[CompletionResult, bool]:
+        """:meth:`complete_outcome` minus the slow-log hook: probe, then
+        fill."""
         tracer = get_tracer()
         if not tracer.enabled:
             # Untraced fast path.  This method is the warm-cache hot
@@ -309,15 +327,27 @@ class Disambiguator:
             # the cache lookup so the warm path stays untouched.
             expression, key, cached = self._probe(expression)
             if cached is not None:
-                return cached
-            return self._fill(expression, key, budget)
+                return cached, True
+            return self._fill(expression, key, budget), False
         with tracer.span(
             "complete", expression=str(expression), e=self.e
         ) as span:
             expression, key, cached = self._probe(expression, span)
             if cached is not None:
-                return cached
-            return self._fill(expression, key, budget, span)
+                return cached, True
+            return self._fill(expression, key, budget, span), False
+
+    def _parsed(self, text: str) -> tuple[PathExpression, tuple]:
+        """(parsed expression, cache key) of a request text, memoized
+        in :attr:`_text_keys` so a repeated text is parsed once."""
+        memo = self._text_keys.get(text)
+        if memo is None:
+            expression = parse_path_expression(text)
+            memo = (expression, self._cache_key(str(expression)))
+            if len(self._text_keys) >= _TEXT_KEY_LIMIT:
+                self._text_keys.clear()
+            self._text_keys[text] = memo
+        return memo
 
     def _probe(
         self, expression: str | PathExpression, span=None
@@ -325,20 +355,16 @@ class Disambiguator:
         """(parsed expression, cache key, cached result or ``None``).
 
         ``span`` is the open ``complete`` span when tracing, ``None``
-        on the untraced fast path.
+        on the untraced fast path.  The ``parse`` span times the text
+        memo read (and the parse, the first time a text is seen).
         """
         if isinstance(expression, str):
-            text = expression
             if span is None:
-                expression = parse_path_expression(text)
+                expression, key = self._parsed(expression)
             else:
                 with get_tracer().span("parse"):
-                    expression = parse_path_expression(text)
+                    expression, key = self._parsed(expression)
                 span.set(expression=str(expression))
-            key = self._cache_key(str(expression))
-            if len(self._text_keys) >= _TEXT_KEY_LIMIT:
-                self._text_keys.clear()
-            self._text_keys[text] = key
         else:
             key = self._cache_key(str(expression))
         if span is None:

@@ -15,9 +15,9 @@ effectiveness).  This package makes that visible at every layer:
   (the stats dataclass is a carrier, not the terminal sink).  The
   default registry is likewise a no-op; histograms keep an unbiased
   Algorithm-R reservoir for quantiles.
-* :mod:`repro.obs.promtext` / :mod:`repro.obs.serve` — the registry in
-  Prometheus text exposition format, on stdout or over a stdlib HTTP
-  scrape endpoint (``python -m repro.obs.serve``).
+* :mod:`repro.obs.promtext` — the registry in Prometheus text
+  exposition format (the serving tier, :mod:`repro.serve`, exposes it
+  at ``GET /metrics``).
 * :mod:`repro.obs.slowlog` — tail-based slow-query retention: only
   queries over a latency threshold, in the current top-K, or promoted
   (head-sampled or failed) keep their full span tree, query text, E,
@@ -97,6 +97,7 @@ from repro.obs.slowlog import (
     use_slowlog,
 )
 from repro.obs.tracer import (
+    FlatRecorder,
     NullTracer,
     RecordingTracer,
     Span,
@@ -104,11 +105,10 @@ from repro.obs.tracer import (
     use_tracer,
 )
 
-#: Names resolved lazily (PEP 562) from the runnable submodules, so
-#: ``python -m repro.obs.serve`` / ``python -m repro.obs.perf`` don't
-#: trip runpy's already-imported warning on package import.
+#: Names resolved lazily (PEP 562) from the runnable submodule, so
+#: ``python -m repro.obs.perf`` doesn't trip runpy's already-imported
+#: warning on package import.
 _LAZY = {
-    "MetricsServer": "repro.obs.serve",
     "BenchRecord": "repro.obs.perf",
     "append_records": "repro.obs.perf",
     "compare": "repro.obs.perf",
@@ -131,9 +131,9 @@ __all__ = [
     "BenchRecord",
     "DEFAULT_BUCKET_BOUNDS",
     "DEFAULT_PROFILED_SPANS",
+    "FlatRecorder",
     "HeadSampler",
     "MetricsRegistry",
-    "MetricsServer",
     "NullMetricsRegistry",
     "NullSlowQueryLog",
     "NullTracer",

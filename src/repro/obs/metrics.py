@@ -272,6 +272,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get(self, name: str, kind: type) -> Counter | Gauge | Histogram:
+        # Metrics are never removed or rebound, so an existing one of
+        # the right kind needs no lock; creation and mismatches do.
+        metric = self._metrics.get(name)
+        if metric.__class__ is kind:
+            return metric
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -463,21 +468,24 @@ class NullMetricsRegistry:
 
 _NULL_METRICS = NullMetricsRegistry()
 
-_ACTIVE: ContextVar[MetricsRegistry | NullMetricsRegistry] = ContextVar(
+#: The ambient metrics registry.  Hot paths may set it directly
+#: (``token = ACTIVE_METRICS.set(x)``, later ``ACTIVE_METRICS.reset(token)``)
+#: instead of entering :func:`use_metrics`'s generator context manager.
+ACTIVE_METRICS: ContextVar[MetricsRegistry | NullMetricsRegistry] = ContextVar(
     "repro_metrics", default=_NULL_METRICS
 )
 
 
 def get_metrics() -> MetricsRegistry | NullMetricsRegistry:
     """The registry instrumented code should record into."""
-    return _ACTIVE.get()
+    return ACTIVE_METRICS.get()
 
 
 @contextmanager
 def use_metrics(registry: MetricsRegistry | NullMetricsRegistry):
     """Install ``registry`` as the ambient registry for the with-block."""
-    token = _ACTIVE.set(registry)
+    token = ACTIVE_METRICS.set(registry)
     try:
         yield registry
     finally:
-        _ACTIVE.reset(token)
+        ACTIVE_METRICS.reset(token)

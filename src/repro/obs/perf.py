@@ -152,12 +152,14 @@ class BenchVerdict:
     unit: str
     regressed: bool
     prior_runs: int
+    gated: bool = True
 
     def describe(self, tolerance: float) -> str:
-        if self.baseline is None:
+        if self.baseline is None or not self.gated:
+            reason = "no baseline yet" if self.gated else "informational"
             return (
                 f"  ~ {self.name}: {self.latest:.6g} {self.unit} "
-                f"(no baseline yet — recorded, not gated)"
+                f"({reason} — recorded, not gated)"
             )
         mark = "FAIL" if self.regressed else "ok"
         return (
@@ -225,7 +227,8 @@ def compare(
     values over the last :data:`BASELINE_WINDOW` prior runs with the
     same environment fingerprint.  A benchmark with no usable baseline
     (first run, new benchmark, or environment change) is reported but
-    never fails the gate.
+    never fails the gate, and neither is a record whose ``extra`` says
+    ``"gate": false`` (an informational series, kept for its trend).
     """
     if not history:
         return CompareResult(run="(empty history)", verdicts=[], tolerance=tolerance)
@@ -264,6 +267,7 @@ def compare(
             continue
         baseline = statistics.median(samples)
         ratio = record.value / baseline if baseline > 0 else float("inf")
+        gated = record.extra.get("gate", True) is not False
         verdicts.append(
             BenchVerdict(
                 name=name,
@@ -271,8 +275,9 @@ def compare(
                 baseline=baseline,
                 ratio=ratio,
                 unit=record.unit,
-                regressed=baseline > 0 and ratio > 1.0 + tolerance,
+                regressed=gated and baseline > 0 and ratio > 1.0 + tolerance,
                 prior_runs=len(samples),
+                gated=gated,
             )
         )
     return CompareResult(run=latest_run, verdicts=verdicts, tolerance=tolerance)

@@ -26,8 +26,9 @@ shares a single ``# HELP``/``# TYPE`` family header and emits
 ``family{key="value"} sample`` lines, with label values escaped per the
 exposition grammar.  Histogram series merge their labels with ``le``.
 
-:class:`repro.obs.serve.MetricsServer` exposes this text over HTTP;
-the CLI ``--prom[=FILE]`` flag prints or writes one snapshot.
+The serving tier (:mod:`repro.serve`) exposes this text over HTTP at
+``GET /metrics``; the CLI ``--prom[=FILE]`` flag prints or writes one
+snapshot.
 """
 
 from __future__ import annotations

@@ -130,19 +130,22 @@ class RequestContext:
         )
 
 
-_ACTIVE: ContextVar[RequestContext | None] = ContextVar(
+#: The ambient request context.  Hot paths may set it directly
+#: (``token = ACTIVE_REQUEST.set(x)``, later ``ACTIVE_REQUEST.reset(token)``)
+#: instead of entering :func:`use_request`'s generator context manager.
+ACTIVE_REQUEST: ContextVar[RequestContext | None] = ContextVar(
     "repro_request", default=None
 )
 
 
 def get_request() -> RequestContext | None:
     """The ambient request context, or ``None`` outside a request."""
-    return _ACTIVE.get()
+    return ACTIVE_REQUEST.get()
 
 
 def get_request_id() -> str | None:
     """The ambient request ID, or ``None`` outside a request."""
-    context = _ACTIVE.get()
+    context = ACTIVE_REQUEST.get()
     return context.request_id if context is not None else None
 
 
@@ -151,11 +154,11 @@ def use_request(context: RequestContext | None) -> Iterator[
     RequestContext | None
 ]:
     """Install ``context`` as the ambient request for the with-block."""
-    token = _ACTIVE.set(context)
+    token = ACTIVE_REQUEST.set(context)
     try:
         yield context
     finally:
-        _ACTIVE.reset(token)
+        ACTIVE_REQUEST.reset(token)
 
 
 class HeadSampler:

@@ -8,8 +8,8 @@ tail-based retention: while a :class:`SlowQueryLog` is installed, every
 instrumented entry point (:meth:`Disambiguator.complete`,
 ``CompletionSession.ask``, ``run_fox``, the experiment harness's
 per-query loop) runs under a private
-:class:`~repro.obs.tracer.RecordingTracer`, but the resulting span tree
-is *kept* only when the query
+:class:`~repro.obs.tracer.FlatRecorder`, but the resulting spans are
+*kept* only when the query
 
 * exceeds the latency threshold (``threshold_ms``, when set), or
 * ranks in the current top-K by elapsed time (``top_k``).
@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -48,11 +49,11 @@ from contextvars import ContextVar
 from typing import IO, Iterator
 
 from repro.obs.tracer import (
-    RecordingTracer,
+    ACTIVE_TRACER,
+    FlatRecorder,
     flatten_spans,
     get_tracer,
     span_events,
-    use_tracer,
 )
 
 __all__ = [
@@ -83,17 +84,27 @@ RETAINED_SAMPLED = "sampled"
 RETAINED_PROMOTED = "promoted"
 
 
+#: (``REPRO_PRUNING``, ``REPRO_DELTA``) values -> their resolved modes.
+_MODES: dict[tuple[str | None, str | None], tuple[str, str]] = {}
+
+
 def _ambient_modes() -> tuple[str, str]:
     """The process-wide pruning/delta modes (env override or default).
 
-    Imported lazily: ``repro.core`` imports this module for its entry-
-    point hooks, so a module-level import back into ``repro.core``
-    would be circular.
+    Resolved once per distinct pair of environment values, so a
+    changed override still takes effect.  Imported lazily:
+    ``repro.core`` imports this module for its entry-point hooks, so a
+    module-level import back into ``repro.core`` would be circular.
     """
-    from repro.core.closure import resolve_pruning
-    from repro.core.compiled import resolve_delta_mode
+    env = (os.environ.get("REPRO_PRUNING"), os.environ.get("REPRO_DELTA"))
+    modes = _MODES.get(env)
+    if modes is None:
+        from repro.core.closure import resolve_pruning
+        from repro.core.compiled import resolve_delta_mode
 
-    return resolve_pruning(None), resolve_delta_mode(None)
+        modes = (resolve_pruning(None), resolve_delta_mode(None))
+        _MODES[env] = modes
+    return modes
 
 
 class SlowLogEntry:
@@ -333,7 +344,6 @@ class SlowQueryLog:
 
     # -- the entry-point hook -----------------------------------------
 
-    @contextlib.contextmanager
     def observe(
         self,
         kind: str,
@@ -342,7 +352,7 @@ class SlowQueryLog:
         pruning: str | None = None,
         delta: str | None = None,
         **attrs: object,
-    ) -> Iterator[Observation | _NullObservation]:
+    ) -> "_Observing":
         """Time the with-block as one query and consider it for retention.
 
         ``pruning``/``delta`` default to the ambient resolved modes
@@ -352,67 +362,31 @@ class SlowQueryLog:
         were live — callers that know better (the engine knows its own
         ``pruning``) pass the exact value.
 
-        Installs a private :class:`RecordingTracer` when no real tracer
-        is ambient, so the retained entry always carries a span tree.
+        Installs a private :class:`~repro.obs.tracer.FlatRecorder` when
+        no tree-recording tracer is ambient, so the retained entry
+        always carries its spans (already in their flat form: no tree
+        is built).
         Nested ``observe`` calls (an engine ``complete`` inside a
         session ``ask``) yield a no-op observation: the outermost entry
         point owns the query.
         """
-        if _OBSERVING.get():
-            yield _NULL_OBSERVATION
-            return
-        token = _OBSERVING.set(True)
-        if pruning is None or delta is None:
-            ambient_pruning, ambient_delta = _ambient_modes()
-            pruning = pruning if pruning is not None else ambient_pruning
-            delta = delta if delta is not None else ambient_delta
-        observation = Observation(kind, query, e, dict(attrs), pruning, delta)
-        tracer = get_tracer()
-        private: RecordingTracer | None = None
-        roots_before = 0
-        if tracer.enabled:
-            roots_before = len(tracer.roots)  # type: ignore[union-attr]
-        else:
-            private = RecordingTracer()
-        start = time.perf_counter()
-        try:
-            if private is not None:
-                with use_tracer(private):
-                    yield observation
-            else:
-                yield observation
-        except BaseException as error:
-            observation.error = f"{type(error).__name__}: {error}"
-            observation.exhausted = False
-            reason = getattr(error, "reason", None)
-            if isinstance(reason, str):
-                observation.truncation_reason = reason
-            partial = getattr(error, "partial", None)
-            if partial is not None:
-                observation.record_result(partial)
-                observation.exhausted = False
-            raise
-        finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            if not observation.abandoned:
-                source = private if private is not None else tracer
-                roots = source.roots[roots_before:]  # type: ignore[union-attr]
-                self._consider(observation, elapsed_ms, roots)
-            _OBSERVING.reset(token)
+        return _Observing(self, kind, query, e, pruning, delta, attrs)
 
     # -- retention ----------------------------------------------------
 
     def _consider(
-        self, observation: Observation, elapsed_ms: float, roots: list
+        self, observation: Observation, elapsed_ms: float, spans
     ) -> None:
         """Decide retention; keep a retained query as plain data.
 
-        The kept ``(seq, elapsed_ms, retained, observation, spans)``
-        tuple holds the observation (its stats object unconverted) and
-        one flat tuple per span (:func:`~repro.obs.tracer.flatten_spans`)
-        — never the spans or the tracer themselves, so the trace's
-        object graph is freed now.  :func:`_entry` builds the
-        :class:`SlowLogEntry` when the log is read.
+        ``spans()`` returns the query's spans as flat tuples
+        (:func:`~repro.obs.tracer.flatten_spans` form) and is called
+        only for a retained query.  The kept ``(seq, elapsed_ms,
+        retained, observation, spans)`` tuple holds the observation (its
+        stats object unconverted) and those tuples — never span objects
+        or a tracer, so nothing else of the trace outlives the query.
+        :func:`_entry` builds the :class:`SlowLogEntry` when the log is
+        read.
         """
         with self._lock:
             self._observed += 1
@@ -431,16 +405,14 @@ class SlowQueryLog:
                 len(self._heap) < self.top_k or elapsed_ms > self._heap[0][0]
             )
             if not over_threshold and not in_top_k and promoted is None:
-                return  # drop: trace garbage-collects with the tracer
+                return  # drop: the spans go with the recorder
             if over_threshold:
                 retained = RETAINED_THRESHOLD
             elif promoted is not None:
                 retained = promoted
             else:
                 retained = RETAINED_TOP_K
-            entry = (
-                seq, elapsed_ms, retained, observation, flatten_spans(roots)
-            )
+            entry = (seq, elapsed_ms, retained, observation, spans())
             if over_threshold or (promoted is not None and not in_top_k):
                 # Promotions share the threshold ring so `capacity`
                 # still bounds total retention under a failure storm.
@@ -530,6 +502,91 @@ class SlowQueryLog:
         )
 
 
+class _Observing:
+    """The context manager :meth:`SlowQueryLog.observe` returns."""
+
+    __slots__ = (
+        "_log",
+        "_args",
+        "_observation",
+        "_tracer",
+        "_recorder",
+        "_roots_before",
+        "_tokens",
+        "_start",
+    )
+
+    def __init__(
+        self,
+        log: SlowQueryLog,
+        kind: str,
+        query: str,
+        e: int | None,
+        pruning: str | None,
+        delta: str | None,
+        attrs: dict,
+    ) -> None:
+        self._log = log
+        self._args = (kind, query, e, pruning, delta, attrs)
+
+    def __enter__(self) -> Observation | _NullObservation:
+        if _OBSERVING.get():
+            self._tokens = None
+            return _NULL_OBSERVATION
+        observing = _OBSERVING.set(True)
+        kind, query, e, pruning, delta, attrs = self._args
+        if pruning is None or delta is None:
+            ambient_pruning, ambient_delta = _ambient_modes()
+            pruning = pruning if pruning is not None else ambient_pruning
+            delta = delta if delta is not None else ambient_delta
+        self._observation = Observation(kind, query, e, attrs, pruning, delta)
+        tracer = get_tracer()
+        self._tracer = tracer
+        if tracer.enabled and not isinstance(tracer, FlatRecorder):
+            self._recorder = None
+            self._roots_before = len(tracer.roots)  # type: ignore[union-attr]
+            self._tokens = (observing, None)
+        else:
+            self._recorder = FlatRecorder()
+            self._tokens = (observing, ACTIVE_TRACER.set(self._recorder))
+        self._start = time.perf_counter()
+        return self._observation
+
+    def __exit__(self, error_type, error, traceback) -> bool:
+        if self._tokens is None:
+            return False  # nested: the outermost observation owns it
+        elapsed_ms = (time.perf_counter() - self._start) * 1000.0
+        observation = self._observation
+        observing, tracing = self._tokens
+        if tracing is not None:
+            ACTIVE_TRACER.reset(tracing)
+        try:
+            if error is not None:
+                observation.error = f"{error_type.__name__}: {error}"
+                observation.exhausted = False
+                reason = getattr(error, "reason", None)
+                if isinstance(reason, str):
+                    observation.truncation_reason = reason
+                partial = getattr(error, "partial", None)
+                if partial is not None:
+                    observation.record_result(partial)
+                    observation.exhausted = False
+            if not observation.abandoned:
+                recorder = self._recorder
+                if recorder is not None:
+                    spans = recorder.flat
+                else:
+                    roots = self._tracer.roots[self._roots_before:]
+
+                    def spans() -> list[tuple]:
+                        return flatten_spans(roots)
+
+                self._log._consider(observation, elapsed_ms, spans)
+        finally:
+            _OBSERVING.reset(observing)
+        return False
+
+
 def _entry(
     seq: int,
     elapsed_ms: float,
@@ -605,21 +662,24 @@ class NullSlowQueryLog:
 
 _NULL_SLOWLOG = NullSlowQueryLog()
 
-_ACTIVE: ContextVar[SlowQueryLog | NullSlowQueryLog] = ContextVar(
+#: The ambient slow-query log.  Hot paths may set it directly
+#: (``token = ACTIVE_SLOWLOG.set(x)``, later ``ACTIVE_SLOWLOG.reset(token)``)
+#: instead of entering :func:`use_slowlog`'s generator context manager.
+ACTIVE_SLOWLOG: ContextVar[SlowQueryLog | NullSlowQueryLog] = ContextVar(
     "repro_slowlog", default=_NULL_SLOWLOG
 )
 
 
 def get_slowlog() -> SlowQueryLog | NullSlowQueryLog:
     """The slow-query log instrumented entry points should consult."""
-    return _ACTIVE.get()
+    return ACTIVE_SLOWLOG.get()
 
 
 @contextlib.contextmanager
 def use_slowlog(log: SlowQueryLog | NullSlowQueryLog):
     """Install ``log`` as the ambient slow-query log for the with-block."""
-    token = _ACTIVE.set(log)
+    token = ACTIVE_SLOWLOG.set(log)
     try:
         yield log
     finally:
-        _ACTIVE.reset(token)
+        ACTIVE_SLOWLOG.reset(token)

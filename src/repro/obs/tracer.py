@@ -7,7 +7,7 @@ A *span* is one named, timed region of work (``parse``, ``compile``,
 another makes it a child, so one ``complete`` call produces a tree
 whose leaves tile the total elapsed time.
 
-Two tracers implement the same duck-typed interface:
+Three tracers implement the same duck-typed interface:
 
 * :class:`NullTracer` — the ambient default.  ``span()`` hands back a
   process-wide singleton whose enter/exit/set/event are all no-ops, so
@@ -18,6 +18,10 @@ Two tracers implement the same duck-typed interface:
   tree (:meth:`RecordingTracer.render`), exports them as a JSON-lines
   event log (:meth:`RecordingTracer.write_jsonl`), and aggregates a
   per-span-name summary (:meth:`RecordingTracer.summary`).
+* :class:`FlatRecorder` — records no tree at all: each span becomes
+  one flat tuple (the :func:`flatten_spans` form) when it exits.  The
+  slow-query log records every observed query this way; nothing but
+  the tuples outlives the query.
 
 The active tracer lives in a :class:`contextvars.ContextVar`, so
 ``with use_tracer(RecordingTracer()):`` scopes tracing to one CLI
@@ -35,6 +39,7 @@ from contextvars import ContextVar
 from typing import IO, Iterator
 
 __all__ = [
+    "FlatRecorder",
     "NullTracer",
     "RecordingTracer",
     "Span",
@@ -371,25 +376,208 @@ def _jsonable(attrs: dict) -> dict:
     return safe
 
 
+class _FlatSpan:
+    """One span of a :class:`FlatRecorder`.
+
+    Takes its row in the root's list on enter (so parents precede
+    children) and fills it with the finished tuple on exit.
+    """
+
+    __slots__ = (
+        "name",
+        "attrs",
+        "start",
+        "_recorder",
+        "_rows",
+        "_index",
+        "_parent",
+        "_depth",
+        "_epoch",
+        "_events",
+    )
+
+    def __init__(
+        self, recorder: "FlatRecorder", name: str, attrs: dict
+    ) -> None:
+        self._recorder = recorder
+        self.name = name
+        self.attrs = attrs
+        self._events: list | None = None
+
+    def set(self, **attrs: object) -> "_FlatSpan":
+        self.attrs.update(attrs)
+        return self
+
+    def event(self, name: str, **attrs: object) -> None:
+        if self._events is None:
+            self._events = []
+        self._events.append((time.perf_counter(), name, attrs))
+
+    @property
+    def children(self) -> "_Graft":
+        """Where finished :class:`Span` trees recorded by another tracer
+        are attached as children (``children.extend(tracer.roots)``,
+        the way code that swaps tracers hands spans back)."""
+        return _Graft(self._recorder, self)
+
+    def __enter__(self) -> "_FlatSpan":
+        stack = self._recorder._stack()
+        if stack:
+            parent = stack[-1]
+            self._rows = rows = parent._rows
+            self._parent = parent._index
+            self._depth = parent._depth + 1
+            self._epoch = parent._epoch
+        else:
+            self._rows = rows = []
+            self._parent = None
+            self._depth = 0
+        self._index = len(rows)
+        rows.append(None)
+        stack.append(self)
+        self.start = time.perf_counter()
+        if self._parent is None:
+            self._epoch = self.start
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        end = time.perf_counter()
+        epoch = self._epoch
+        events = self._events
+        self._rows[self._index] = (
+            self.name,
+            self._parent,
+            self._depth,
+            self.start - epoch,
+            max(0.0, end - self.start),
+            self.attrs,
+            tuple((at - epoch, name, attrs) for at, name, attrs in events)
+            if events
+            else (),
+        )
+        stack = self._recorder._stack()
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:
+            stack.remove(self)
+        if self._parent is None:
+            self._recorder._done.append(self._rows)
+
+
+class _Graft:
+    """Appends finished :class:`Span` trees to a :class:`FlatRecorder`,
+    flattened, as children of ``parent`` (or as roots)."""
+
+    __slots__ = ("_recorder", "_parent")
+
+    def __init__(
+        self, recorder: "FlatRecorder", parent: _FlatSpan | None
+    ) -> None:
+        self._recorder = recorder
+        self._parent = parent
+
+    def append(self, span: Span) -> None:
+        self.extend([span])
+
+    def extend(self, spans: list[Span]) -> None:
+        parent = self._parent
+        for root in spans:
+            if parent is None:
+                self._recorder._done.append(flatten_spans([root]))
+                continue
+            rows = parent._rows
+            offset = len(rows)
+            shift = root.start - parent._epoch
+            for name, up, depth, start, duration, attrs, events in (
+                flatten_spans([root])
+            ):
+                rows.append(
+                    (
+                        name,
+                        parent._index if up is None else up + offset,
+                        depth + parent._depth + 1,
+                        start + shift,
+                        duration,
+                        attrs,
+                        tuple((at + shift, n, a) for at, n, a in events),
+                    )
+                )
+
+
+class FlatRecorder:
+    """A tracer that records spans straight into flat tuples.
+
+    Each span becomes one ``(name, parent, depth, start, duration,
+    attrs, events)`` tuple, exactly as :func:`flatten_spans` would
+    render the same spans recorded by a :class:`RecordingTracer`
+    (:func:`span_events` of :meth:`flat` equals
+    :meth:`RecordingTracer.to_events`), but no tree, thread-local or
+    lock is built on the way.  Spans must nest (exit in reverse order
+    of entry on their thread); each thread keeps its own stack, and a
+    root's rows are committed when it exits, in exit order.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        #: Thread id -> open spans of that thread, innermost last.
+        self._stacks: dict[int, list[_FlatSpan]] = {}
+        #: Finished roots' rows, in root exit order.
+        self._done: list[list[tuple]] = []
+
+    def span(self, name: str, **attrs: object) -> _FlatSpan:
+        return _FlatSpan(self, name, attrs)
+
+    def _stack(self) -> list[_FlatSpan]:
+        ident = threading.get_ident()
+        stack = self._stacks.get(ident)
+        if stack is None:
+            stack = self._stacks.setdefault(ident, [])
+        return stack
+
+    @property
+    def roots(self) -> _Graft:
+        """Where finished :class:`Span` trees are attached as roots."""
+        return _Graft(self, None)
+
+    def flat(self) -> list[tuple]:
+        """Every finished root's rows, in the :func:`flatten_spans` form."""
+        done = self._done
+        if len(done) == 1:
+            return done[0]
+        flat: list[tuple] = []
+        for rows in done:
+            offset = len(flat)
+            flat.extend(
+                (name, None if up is None else up + offset, depth, start,
+                 duration, attrs, events)
+                for name, up, depth, start, duration, attrs, events in rows
+            )
+        return flat
+
+
 # ----------------------------------------------------------------------
 # The ambient tracer
 # ----------------------------------------------------------------------
 
-_ACTIVE: ContextVar[NullTracer | RecordingTracer] = ContextVar(
-    "repro_tracer", default=_NULL_TRACER
-)
+#: The ambient tracer.  Hot paths may set it directly
+#: (``token = ACTIVE_TRACER.set(x)``, later ``ACTIVE_TRACER.reset(token)``)
+#: instead of entering :func:`use_tracer`'s generator context manager.
+ACTIVE_TRACER: ContextVar[
+    NullTracer | RecordingTracer | FlatRecorder
+] = ContextVar("repro_tracer", default=_NULL_TRACER)
 
 
-def get_tracer() -> NullTracer | RecordingTracer:
+def get_tracer() -> NullTracer | RecordingTracer | FlatRecorder:
     """The tracer instrumented code should emit spans to."""
-    return _ACTIVE.get()
+    return ACTIVE_TRACER.get()
 
 
 @contextmanager
-def use_tracer(tracer: NullTracer | RecordingTracer):
+def use_tracer(tracer: NullTracer | RecordingTracer | FlatRecorder):
     """Install ``tracer`` as the ambient tracer for the with-block."""
-    token = _ACTIVE.set(tracer)
+    token = ACTIVE_TRACER.set(tracer)
     try:
         yield tracer
     finally:
-        _ACTIVE.reset(token)
+        ACTIVE_TRACER.reset(token)

@@ -67,9 +67,9 @@ instead of collapsing it*:
   meters between clock samples.
 
 Endpoints: ``POST /v1/complete``, ``POST /v1/query``,
-``GET /v1/schemas``, ``GET /v1/debug``, plus the scrape pair absorbed
-from :mod:`repro.obs.serve` — ``GET /metrics`` (Prometheus text, with
-per-route/status labels) and ``GET /healthz``.
+``GET /v1/schemas``, ``GET /v1/debug``, plus the scrape pair —
+``GET /metrics`` (Prometheus text, with per-route/status labels) and
+``GET /healthz`` (:func:`health_snapshot` plus the serving state).
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from typing import NamedTuple
 
 from repro.errors import (
     BudgetExceededError,
@@ -90,13 +91,16 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs.metrics import (
+    ACTIVE_METRICS,
+    Counter,
+    Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
     labelled,
-    use_metrics,
 )
 from repro.obs.promtext import render_prometheus
 from repro.obs.reqlog import (
+    ACTIVE_REQUEST,
     REQUEST_ID_HEADER,
     AccessLog,
     HeadSampler,
@@ -104,12 +108,10 @@ from repro.obs.reqlog import (
     clean_request_id,
     get_request,
     mint_request_id,
-    use_request,
 )
-from repro.obs.serve import health_snapshot
 from repro.obs.slo import SLOMonitor
-from repro.obs.slowlog import RETAINED_SAMPLED, SlowQueryLog, use_slowlog
-from repro.obs.tracer import RecordingTracer, get_tracer, use_tracer
+from repro.obs.slowlog import ACTIVE_SLOWLOG, RETAINED_SAMPLED, SlowQueryLog
+from repro.obs.tracer import ACTIVE_TRACER, RecordingTracer, get_tracer
 from repro.query.language import run_query
 from repro.resilience.budget import CancelSignal, use_budget
 from repro.serve.config import ServeConfig
@@ -122,10 +124,15 @@ from repro.serve.http import (
 )
 from repro.serve.tenants import TenantRegistry, UnknownTenantError
 
-__all__ = ["ServingTier"]
+__all__ = ["ServingTier", "health_snapshot"]
 
 #: Content type of the Prometheus text exposition.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Bound on the (route, status) metric series a tier keeps bound;
+#: past it (a client probing random paths) series are looked up per
+#: request instead.
+_SERIES_LIMIT = 1024
 
 #: Time-dilation factor of the drain-aware clock past the hard
 #: deadline.  A *rate* rather than a constant offset on purpose: a
@@ -136,6 +143,84 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: time.  A constant offset would shift ``started_at`` and the deadline
 #: together and never trip late-armed meters.
 _DRAIN_CLOCK_RATE = 1e6
+
+
+def health_snapshot() -> dict:
+    """The registry part of the ``/healthz`` payload: liveness plus
+    compiled-artifact occupancy.
+
+    Reads the process-wide compiled-artifact registry and reports, per
+    artifact, the fingerprint prefix, how many evolution steps produced
+    it, and its completion cache's counters — so a healthy-but-bloated
+    process (runaway schema evolution, a cache that never hits) shows
+    in one curl.
+    """
+    from repro.core.compiled import registered_artifacts
+
+    artifacts = []
+    for compiled in registered_artifacts():
+        artifacts.append(
+            {
+                "fingerprint": compiled.fingerprint[:12],
+                "lineage_depth": len(compiled.lineage),
+                "completion_cache": compiled.cache.info(),
+            }
+        )
+    artifacts.sort(key=lambda entry: entry["fingerprint"])
+    return {
+        "status": "ok",
+        "registry": {
+            "artifacts": len(artifacts),
+            "max_lineage_depth": max(
+                (entry["lineage_depth"] for entry in artifacts), default=0
+            ),
+            "cached_completions": sum(
+                entry["completion_cache"]["size"] for entry in artifacts
+            ),
+            "entries": artifacts,
+        },
+    }
+
+
+class _Reply(NamedTuple):
+    """A response body the job rendered, plus what the access log
+    records of it."""
+
+    body: bytes
+    tenant: str
+    cache_hit: bool
+    truncation_reason: str | None
+
+
+def _completion_reply(
+    tenant: str, expression: str, e: int, result, hit: bool
+) -> _Reply:
+    """The ``/v1/complete`` reply for ``result``.
+
+    The body is byte for byte ``json.dumps(payload, sort_keys=True) +
+    "\n"`` of the reply object, but the label and path texts come from
+    the result's memo (:meth:`CompletionResult.paths_json`); only the
+    per-request fields are rendered here.  ``hit`` is this request's
+    own lookup outcome, reported as its ``cache_hits``/``cache_misses``.
+    """
+    stats = result.stats
+    elapsed_ms = round(stats.elapsed_seconds * 1000.0, 3)
+    body = (
+        f'{{"e": {e!r}, '
+        f'"exhausted": {"true" if result.exhausted else "false"}, '
+        f'"expression": {json.dumps(expression)}, '
+        f"{result.paths_json()}, "
+        f'"stats": {{"budget_trips": {stats.budget_trips!r}, '
+        f'"cache_hits": {int(hit)}, "cache_misses": {int(not hit)}, '
+        f'"elapsed_ms": {elapsed_ms!r}, '
+        f'"recursive_calls": {stats.recursive_calls!r}}}, '
+        f'"tenant": {json.dumps(tenant)}'
+    )
+    reason = None
+    if not result.exhausted:
+        reason = result.truncation_reason
+        body += f', "truncation_reason": {json.dumps(reason)}'
+    return _Reply((body + "}\n").encode("utf-8"), tenant, hit, reason)
 
 
 class ServingTier:
@@ -202,6 +287,8 @@ class ServingTier:
         self._conn_tasks: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self.address: tuple[str, int] | None = None
+        #: (route, status) -> its bound series, see :meth:`_series_for`.
+        self._series: dict[tuple[str, int], tuple[Counter, Histogram]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -508,61 +595,64 @@ class ServingTier:
             and request.path in ("/v1/complete", "/v1/query")
             and self.sampler.sample()
         )
-        with use_request(RequestContext(request_id, sampled=sampled)):
-            try:
-                outcome = await self._route(request)
-                status, payload, content_type, extra = outcome
-                if isinstance(payload, bytes):
-                    body = payload
-            except HttpError as error:
-                status, payload = error.status, {"error": error.message}
-            except UnknownTenantError as error:
-                status, payload = 404, {"error": str(error)}
-            except BudgetExceededError as error:
-                # partial_ok is always set, so this is belt and braces
-                # for a future engine path that refuses partial answers.
-                status = 206
-                payload = {
-                    "error": str(error),
-                    "truncation_reason": "deadline",
-                }
-            except InjectedFaultError as error:
-                status = 503
-                payload = {"error": str(error), "transient": True}
-                extra = {"Retry-After": str(self.config.retry_after_s)}
-            except (ReproError, ValueError) as error:
-                status = 400
-                payload = {"error": str(error), "kind": type(error).__name__}
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # noqa: BLE001 - last-resort mapping
-                status = 500
-                payload = {"error": f"internal error: {type(error).__name__}"}
-                self.metrics.counter("serve.internal_errors").inc()
-        if body is None:
+        token = ACTIVE_REQUEST.set(RequestContext(request_id, sampled=sampled))
+        try:
+            outcome = await self._route(request)
+            status, payload, content_type, extra = outcome
+            if isinstance(payload, bytes):
+                body = payload
+        except HttpError as error:
+            status, payload = error.status, {"error": error.message}
+        except UnknownTenantError as error:
+            status, payload = 404, {"error": str(error)}
+        except BudgetExceededError as error:
+            # partial_ok is always set, so this is belt and braces
+            # for a future engine path that refuses partial answers.
+            status = 206
+            payload = {
+                "error": str(error),
+                "truncation_reason": "deadline",
+            }
+        except InjectedFaultError as error:
+            status = 503
+            payload = {"error": str(error), "transient": True}
+            extra = {"Retry-After": str(self.config.retry_after_s)}
+        except (ReproError, ValueError) as error:
+            status = 400
+            payload = {"error": str(error), "kind": type(error).__name__}
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:  # noqa: BLE001 - last-resort mapping
+            status = 500
+            payload = {"error": f"internal error: {type(error).__name__}"}
+            self.metrics.counter("serve.internal_errors").inc()
+        finally:
+            ACTIVE_REQUEST.reset(token)
+        reply = payload if isinstance(payload, _Reply) else None
+        if reply is not None:
+            body = reply.body
+        elif body is None:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode(
                 "utf-8"
             )
             content_type = "application/json"
         keep_alive = request.keep_alive and status < 500
         elapsed_ms = (time.monotonic() - started) * 1000.0
-        self.metrics.counter(
-            labelled("serve.requests", route=route, status=str(status))
-        ).inc()
-        self.metrics.histogram(
-            labelled("serve.latency_ms", route=route)
-        ).observe(elapsed_ms)
+        requests, latency = self._series_for(route, status)
+        requests.inc()
+        latency.observe(elapsed_ms)
         self.slo.record(status, elapsed_ms)
-        data = payload if isinstance(payload, dict) else {}
         if self.access_log.enabled:
-            outcome_label, shed_reason = self._outcome_of(status, data)
-            stats = data.get("stats")
-            cache_hit = (
-                stats.get("cache_hits", 0) > 0
-                if isinstance(stats, dict)
-                else None
-            )
-            error_text = data.get("error")
+            if reply is not None:
+                outcome_label, shed_reason = self._outcome_of(status, {})
+                tenant, cache_hit = reply.tenant, reply.cache_hit
+                truncation_reason, error_text = reply.truncation_reason, None
+            else:
+                data = payload if isinstance(payload, dict) else {}
+                outcome_label, shed_reason = self._outcome_of(status, data)
+                tenant, cache_hit = data.get("tenant"), None
+                truncation_reason = data.get("truncation_reason")
+                error_text = data.get("error")
             self.access_log.record(
                 request_id=request_id,
                 method=request.method,
@@ -570,9 +660,9 @@ class ServingTier:
                 status=status,
                 latency_ms=elapsed_ms,
                 outcome=outcome_label,
-                tenant=data.get("tenant"),
+                tenant=tenant,
                 cache_hit=cache_hit,
-                truncation_reason=data.get("truncation_reason"),
+                truncation_reason=truncation_reason,
                 shed_reason=shed_reason,
                 sampled=sampled,
                 error=str(error_text) if error_text is not None else None,
@@ -588,6 +678,25 @@ class ServingTier:
             keep_alive=keep_alive,
         )
         return response, keep_alive
+
+    def _series_for(
+        self, route: str, status: int
+    ) -> tuple[Counter, Histogram]:
+        """The request counter and latency histogram of ``route`` and
+        ``status``, bound on first use (no per-request name encoding)."""
+        series = self._series.get((route, status))
+        if series is None:
+            series = (
+                self.metrics.counter(
+                    labelled("serve.requests", route=route, status=str(status))
+                ),
+                self.metrics.histogram(
+                    labelled("serve.latency_ms", route=route)
+                ),
+            )
+            if len(self._series) < _SERIES_LIMIT:
+                self._series[(route, status)] = series
+        return series
 
     @staticmethod
     def _outcome_of(status: int, payload: dict) -> tuple[str, str | None]:
@@ -784,15 +893,21 @@ class ServingTier:
             raise HttpError(400, "'tenant' must be a string")
         return self.tenants.get(name)
 
-    def _request_budget(self, request: Request):
+    def _check_budget_headers(self, request: Request) -> None:
+        """Validate the budget headers at admission (a bad one is a
+        ``400`` whether or not the request will need its budget)."""
         try:
-            return self.config.budget_for(
-                request.headers,
-                clock=self.server_clock,
-                cancel=self._drain_cancel,
-            )
+            self.config.budget_limits(request.headers)
         except ValueError as error:
             raise HttpError(400, str(error)) from error
+
+    def _request_budget(self, request: Request):
+        """The request's budget; built only for a job on the pool."""
+        return self.config.budget_for(
+            request.headers,
+            clock=self.server_clock,
+            cancel=self._drain_cancel,
+        )
 
     @contextlib.contextmanager
     def _request_scope(self, kind: str, query: str, **attrs):
@@ -804,27 +919,31 @@ class ServingTier:
         request, and opens the slow-log observation (stamped with the
         ambient request ID) plus the ``request`` root span every
         retained trace hangs from.  Sampled observations are promoted
-        so the slow log keeps them even when fast and healthy.
+        so the slow log keeps them even when fast and healthy.  The
+        context variables are set and reset directly: this runs for
+        every request, warm hits included.
         """
         context = get_request()
         request_id = context.request_id if context is not None else None
         sampled = context.sampled if context is not None else False
         if request_id is not None:
             attrs["request_id"] = request_id
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(use_metrics(self.metrics))
-            stack.enter_context(use_slowlog(self.slowlog))
-            if sampled:
-                stack.enter_context(use_tracer(RecordingTracer()))
-            obs = stack.enter_context(
-                self.slowlog.observe(kind, query, **attrs)
-            )
-            if sampled:
-                obs.promote(RETAINED_SAMPLED)
-            with get_tracer().span(
-                "request", kind=kind, request_id=request_id or ""
-            ):
-                yield obs
+        metrics = ACTIVE_METRICS.set(self.metrics)
+        slowlog = ACTIVE_SLOWLOG.set(self.slowlog)
+        tracer = ACTIVE_TRACER.set(RecordingTracer()) if sampled else None
+        try:
+            with self.slowlog.observe(kind, query, **attrs) as obs:
+                if sampled:
+                    obs.promote(RETAINED_SAMPLED)
+                with get_tracer().span(
+                    "request", kind=kind, request_id=request_id or ""
+                ):
+                    yield obs
+        finally:
+            if tracer is not None:
+                ACTIVE_TRACER.reset(tracer)
+            ACTIVE_SLOWLOG.reset(slowlog)
+            ACTIVE_METRICS.reset(metrics)
 
     def _build_complete_job(self, request: Request):
         payload = json_body(request)
@@ -835,12 +954,11 @@ class ServingTier:
         if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise HttpError(400, "'e' must be a positive integer")
         tenant = self._resolve_tenant(payload)
-        budget = self._request_budget(request)
-        #: The tenant cache's (hits, misses) before this request's one
-        #: lookup; already set on the pool call after a missed probe.
-        counted: tuple[int, int] | None = None
+        self._check_budget_headers(request)
+        #: Set when the inline probe missed: the pool call then fills.
+        probed = False
 
-        def job(inline: bool = False) -> tuple[int, dict] | None:
+        def job(inline: bool = False) -> tuple[int, _Reply] | None:
             """Answer the request; ``inline`` on the loop thread.
 
             An inline call answers a cache hit only and returns ``None``
@@ -849,55 +967,36 @@ class ServingTier:
             concurrent eviction, an injected cache fault), the probe has
             counted the miss and the pool call searches with
             :meth:`Disambiguator.fill`, which does not look up again.
+            The reply counts this request's own lookup only, never the
+            cache's shared counters, which concurrent requests move too.
             """
-            nonlocal counted
+            nonlocal probed
             engine = tenant.engine(e)
             if inline and not engine.is_cached(expression):
                 return None
-            # A cache-hit result carries the *original* traversal's
-            # stats; the per-request hit/miss picture is the artifact
-            # counters' delta across this completion.
-            cache = tenant.compiled.cache
-            probed = counted is not None
-            if not probed:
-                counted = (cache.hits, cache.misses)
-            hits_before, misses_before = counted
             with self._request_scope(
                 "serve.complete", expression, e=e, tenant=tenant.name
             ) as obs:
-                with use_budget(budget):
-                    if inline:
-                        result = engine.probe(expression)
-                    elif probed:
-                        result = engine.fill(expression)
-                    else:
-                        result = engine.complete(expression)
-                if result is None:
-                    obs.abandon()  # the pool call observes the request
-                    return None
+                if inline:
+                    result = engine.probe(expression)
+                    if result is None:
+                        probed = True
+                        obs.abandon()  # the pool call observes the request
+                        return None
+                    hit = True
+                else:
+                    with use_budget(self._request_budget(request)):
+                        if probed:
+                            result, hit = engine.fill(expression), False
+                        else:
+                            result, hit = engine.complete_outcome(expression)
                 obs.record_result(result)
-            self.tenants.enforce_memory_bound()
+            if not hit:
+                self.tenants.enforce_memory_bound()  # a hit adds no bytes
             status = 200 if result.exhausted else 206
-            body = {
-                "tenant": tenant.name,
-                "expression": expression,
-                "e": e,
-                "paths": [str(path) for path in result.paths],
-                "labels": [str(label) for label in result.labels],
-                "exhausted": result.exhausted,
-                "stats": {
-                    "recursive_calls": result.stats.recursive_calls,
-                    "cache_hits": cache.hits - hits_before,
-                    "cache_misses": cache.misses - misses_before,
-                    "budget_trips": result.stats.budget_trips,
-                    "elapsed_ms": round(
-                        result.stats.elapsed_seconds * 1000.0, 3
-                    ),
-                },
-            }
-            if not result.exhausted:
-                body["truncation_reason"] = result.truncation_reason
-            return status, body
+            return status, _completion_reply(
+                tenant.name, expression, e, result, hit
+            )
 
         return job
 
@@ -916,7 +1015,7 @@ class ServingTier:
                 f"tenant {tenant.name!r} has no instance database "
                 "(serve it with a database to enable /v1/query)",
             )
-        budget = self._request_budget(request)
+        self._check_budget_headers(request)
 
         def job(inline: bool = False) -> tuple[int, dict] | None:
             if inline:
@@ -924,7 +1023,7 @@ class ServingTier:
             with self._request_scope(
                 "serve.query", text, tenant=tenant.name
             ):
-                with use_budget(budget):
+                with use_budget(self._request_budget(request)):
                     result = run_query(
                         tenant.database,
                         text,

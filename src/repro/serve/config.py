@@ -75,7 +75,10 @@ class ServeConfig:
         Slow-log retention threshold.  The default ``0.0`` retains an
         entry for *every* request (bounded by the slow log's ring
         capacity), which is what the acceptance contract asserts; raise
-        it in production to keep only the tail.
+        it in production to keep only the tail.  Every request is
+        observed either way: its spans are recorded straight into the
+        flat tuples a retained entry keeps (no span tree is built), and
+        a dropped request's tuples are freed with it.
     request_timeout_s:
         Socket-read timeout for one request (kills idle keep-alive
         connections and slow-loris writers).
@@ -178,14 +181,32 @@ class ServeConfig:
         """The per-request budget derived from config and headers.
 
         ``X-Deadline-Ms`` lowers or raises the default deadline (clamped
-        to ``max_deadline_ms``); ``X-Max-Nodes`` sets the expansion cap.
-        ``partial_ok`` is always on — a tripped request is a ``206``
-        with the best-so-far answer, never a hung connection or a bare
-        failure.  ``clock`` is the server's drain-aware clock so a
-        drain can expire every outstanding deadline at once; ``cancel``
-        is the server's drain cancel signal so a drain past its hard
-        boundary aborts mid-expansion rather than at the next clock
-        sample.
+        to ``max_deadline_ms``); ``X-Max-Nodes`` sets the expansion cap
+        (see :meth:`budget_limits`).  ``partial_ok`` is always on — a
+        tripped request is a ``206`` with the best-so-far answer, never
+        a hung connection or a bare failure.  ``clock`` is the server's
+        drain-aware clock so a drain can expire every outstanding
+        deadline at once; ``cancel`` is the server's drain cancel signal
+        so a drain past its hard boundary aborts mid-expansion rather
+        than at the next clock sample.
+        """
+        deadline_ms, max_nodes = self.budget_limits(headers)
+        return Budget(
+            max_seconds=deadline_ms / 1000.0,
+            max_nodes=max_nodes,
+            partial_ok=True,
+            clock=clock,
+            cancel=cancel,
+        )
+
+    def budget_limits(
+        self, headers: Mapping[str, str]
+    ) -> tuple[float, int | None]:
+        """``(deadline_ms, max_nodes)`` of the per-request budget.
+
+        Raises ``ValueError`` on a malformed or out-of-range header, so
+        the serving tier can refuse a request before it decides whether
+        the request needs a budget at all (a cache hit does not).
         """
         deadline_ms = self.default_deadline_ms
         raw = headers.get(DEADLINE_HEADER)
@@ -214,10 +235,4 @@ class ServeConfig:
                 raise ValueError(
                     f"{MAX_NODES_HEADER} must be >= 1, got {raw!r}"
                 )
-        return Budget(
-            max_seconds=deadline_ms / 1000.0,
-            max_nodes=max_nodes,
-            partial_ok=True,
-            clock=clock,
-            cancel=cancel,
-        )
+        return deadline_ms, max_nodes

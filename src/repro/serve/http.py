@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import time
 from email.utils import formatdate
 
 __all__ = [
@@ -157,6 +158,21 @@ async def read_request(
     )
 
 
+#: ``(second, Date header value)`` of the last rendered response.
+_date: tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """The current ``Date`` header value, rendered once per second."""
+    global _date
+    now = int(time.time())
+    second, text = _date
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
+
+
 def render_response(
     status: int,
     body: bytes,
@@ -168,7 +184,7 @@ def render_response(
     phrase = STATUS_PHRASES.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {phrase}",
-        f"Date: {formatdate(usegmt=True)}",
+        f"Date: {_http_date()}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",

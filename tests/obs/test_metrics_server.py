@@ -1,86 +1,12 @@
-"""MetricsServer lifecycle and labelled-series rendering.
+"""Labelled-series rendering.
 
-The serving tier embeds :class:`~repro.obs.serve.MetricsServer` and
-leans on two contracts added for it: close-style lifecycle management
-(idempotent stop, context manager, no socket leak on repeated
-open/close), and request-scoped labels riding inside flat registry
-names (:func:`~repro.obs.metrics.labelled`) that render as proper
-multi-series Prometheus families.
+The serving tier leans on request-scoped labels riding inside flat
+registry names (:func:`~repro.obs.metrics.labelled`) that render as
+proper multi-series Prometheus families.
 """
-
-import urllib.request
-
-import pytest
 
 from repro.obs.metrics import MetricsRegistry, labelled, split_labels
 from repro.obs.promtext import render_prometheus
-from repro.obs.serve import MetricsServer
-
-
-def scrape(server: MetricsServer) -> str:
-    with urllib.request.urlopen(server.url, timeout=5.0) as response:
-        return response.read().decode("utf-8")
-
-
-class TestLifecycle:
-    def test_running_and_closed_track_the_lifecycle(self):
-        server = MetricsServer(MetricsRegistry())
-        assert not server.running and not server.closed
-        server.start()
-        assert server.running and not server.closed
-        server.stop()
-        assert not server.running and server.closed
-
-    def test_stop_is_idempotent(self):
-        server = MetricsServer(MetricsRegistry())
-        server.start()
-        server.stop()
-        server.stop()  # second stop is a no-op, not an error
-        server.close()
-        assert server.closed
-
-    def test_close_without_start_releases_the_socket(self):
-        registry = MetricsRegistry()
-        server = MetricsServer(registry)
-        _, port = server.address
-        server.close()  # never started: close alone must free the port
-        rebound = MetricsServer(registry, port=port)
-        try:
-            assert rebound.address[1] == port
-        finally:
-            rebound.close()
-
-    def test_start_after_close_raises(self):
-        server = MetricsServer(MetricsRegistry())
-        server.start()
-        server.stop()
-        with pytest.raises(RuntimeError):
-            server.start()
-
-    def test_start_is_idempotent_while_running(self):
-        server = MetricsServer(MetricsRegistry())
-        try:
-            assert server.start() is server
-            assert server.start() is server
-            assert server.running
-        finally:
-            server.stop()
-
-    def test_context_manager_serves_then_stops(self):
-        registry = MetricsRegistry()
-        registry.counter("cache.hits").inc(3)
-        with MetricsServer(registry) as server:
-            assert server.running
-            assert "repro_cache_hits_total 3" in scrape(server)
-        assert server.closed and not server.running
-
-    def test_sequential_servers_can_reuse_a_port(self):
-        registry = MetricsRegistry()
-        with MetricsServer(registry) as first:
-            _, port = first.address
-        # The port was released on exit: binding it again succeeds.
-        with MetricsServer(registry, port=port) as second:
-            assert second.address[1] == port
 
 
 class TestLabelledSeries:

@@ -72,6 +72,27 @@ class TestCompare:
         assert verdict.name == "bench.cold"
         assert verdict.ratio == pytest.approx(2.0)
 
+    def test_informational_series_is_reported_not_gated(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        for run_id, value in [("r0", 1.0), ("r1", 1.0), ("r2", 3.0)]:
+            append_records(
+                path,
+                [
+                    BenchRecord(
+                        name="bench.info",
+                        value=value,
+                        run=run_id,
+                        extra={"gate": False},
+                    ),
+                    BenchRecord(name="bench.cold", value=value, run=run_id),
+                ],
+            )
+        result = compare(load_history(path))
+        assert [v.name for v in result.regressions] == ["bench.cold"]
+        (info,) = [v for v in result.verdicts if v.name == "bench.info"]
+        assert info.ratio == pytest.approx(3.0) and not info.gated
+        assert "informational" in result.render()
+
     def test_noisy_flat_history_passes(self, tmp_path):
         # Acceptance: +-10% noise around a flat trend must NOT gate.
         path = tmp_path / "h.jsonl"

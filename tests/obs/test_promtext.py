@@ -1,19 +1,13 @@
-"""Tests for the Prometheus exposition renderer and scrape server."""
+"""Tests for the Prometheus exposition renderer."""
 
-import json
 import math
-import urllib.error
-import urllib.request
 
-from repro.core.compiled import compile_schema, invalidate
 from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry
-from repro.schemas.university import build_university_schema
 from repro.obs.promtext import (
     DEFAULT_BUCKET_BOUNDS,
     render_prometheus,
     write_prometheus,
 )
-from repro.obs.serve import MetricsServer
 
 
 def _parse_exposition(text: str):
@@ -128,64 +122,3 @@ class TestRenderRoundTrip:
     def test_default_bounds_are_sorted_and_finite(self):
         assert list(DEFAULT_BUCKET_BOUNDS) == sorted(DEFAULT_BUCKET_BOUNDS)
         assert all(math.isfinite(bound) for bound in DEFAULT_BUCKET_BOUNDS)
-
-
-class TestMetricsServer:
-    def test_scrape_matches_direct_render(self):
-        registry = _populated_registry()
-        with MetricsServer(registry, port=0) as server:
-            with urllib.request.urlopen(server.url, timeout=10) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith(
-                    "text/plain; version=0.0.4"
-                )
-                body = response.read().decode("utf-8")
-        assert body == render_prometheus(registry)
-
-    def test_healthz_and_404(self):
-        registry = MetricsRegistry()
-        # Start from an empty artifact registry so the snapshot holds
-        # exactly what this test compiles, whatever ran before it.
-        invalidate()
-        compiled = compile_schema(build_university_schema())
-        compiled.complete_simple("ta", "name")
-        with MetricsServer(registry, port=0) as server:
-            host, port = server.address
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/healthz", timeout=10
-            ) as response:
-                assert response.headers["Content-Type"] == "application/json"
-                payload = json.loads(response.read())
-            assert payload["status"] == "ok"
-            registry_info = payload["registry"]
-            assert registry_info["artifacts"] >= 1
-            assert registry_info["artifacts"] == len(registry_info["entries"])
-            ours = [
-                entry
-                for entry in registry_info["entries"]
-                if entry["fingerprint"] == compiled.fingerprint[:12]
-            ]
-            assert len(ours) == 1
-            assert ours[0]["lineage_depth"] == len(compiled.lineage)
-            assert ours[0]["completion_cache"]["size"] == len(compiled.cache)
-            assert registry_info["cached_completions"] >= 1
-            assert registry_info["max_lineage_depth"] >= 0
-            try:
-                urllib.request.urlopen(
-                    f"http://{host}:{port}/nope", timeout=10
-                )
-                raise AssertionError("expected HTTP 404")
-            except urllib.error.HTTPError as error:
-                assert error.code == 404
-
-    def test_scrape_sees_live_updates(self):
-        registry = MetricsRegistry()
-        with MetricsServer(registry, port=0) as server:
-            registry.counter("ticks").inc()
-            with urllib.request.urlopen(server.url, timeout=10) as response:
-                first = response.read().decode()
-            registry.counter("ticks").inc(4)
-            with urllib.request.urlopen(server.url, timeout=10) as response:
-                second = response.read().decode()
-        assert "repro_ticks_total 1" in first
-        assert "repro_ticks_total 5" in second

@@ -1,15 +1,23 @@
 """Tests for the span tracer (repro.obs.tracer)."""
 
+import gc
 import io
+import itertools
 import json
+import random
 import threading
 import time
+import weakref
 
+import repro.obs.tracer as tracer_module
 from repro.obs.schema import validate_trace_events
 from repro.obs.tracer import (
+    FlatRecorder,
     NullTracer,
     RecordingTracer,
+    flatten_spans,
     get_tracer,
+    span_events,
     use_tracer,
 )
 
@@ -225,3 +233,151 @@ class TestExporters:
         json.dumps(record)  # must not raise
         assert record["attrs"]["ok"] == 1
         assert isinstance(record["attrs"]["obj"], str)
+
+
+class _Boom(Exception):
+    """Raised by a span program to exit a span by exception."""
+
+
+class _TickClock:
+    """A deterministic stand-in for the ``time`` module: every
+    ``perf_counter()`` read is the next tick."""
+
+    def __init__(self) -> None:
+        self._ticks = itertools.count(1)
+
+    def perf_counter(self) -> float:
+        return next(self._ticks) * 0.001
+
+
+def _random_program(rng: random.Random, depth: int = 0) -> dict:
+    """One span of a random nested span program."""
+    steps = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.25:
+            steps.append(("set", {rng.choice("abc"): rng.randint(0, 9)}))
+        elif roll < 0.45:
+            steps.append(
+                ("event", rng.choice(["hit", "miss"]), {"n": rng.random()})
+            )
+        elif depth < 4:
+            steps.append(("child", _random_program(rng, depth + 1)))
+    return {
+        "name": rng.choice(["request", "complete", "parse", "traverse"]),
+        "attrs": {"k": rng.randint(0, 3)} if rng.random() < 0.5 else {},
+        "steps": steps,
+        "raises": rng.random() < 0.15,
+    }
+
+
+def _run_program(tracer, program: dict) -> None:
+    with tracer.span(program["name"], **program["attrs"]) as span:
+        for step in program["steps"]:
+            if step[0] == "set":
+                span.set(**step[1])
+            elif step[0] == "event":
+                span.event(step[1], **step[2])
+            else:
+                try:
+                    _run_program(tracer, step[1])
+                except _Boom:
+                    pass
+        if program["raises"]:
+            raise _Boom()
+
+
+class TestFlatRecorder:
+    """The flat recorder writes exactly what a RecordingTracer's trees
+    flatten to."""
+
+    def _both(self, monkeypatch, drive) -> tuple[list, list]:
+        """(flat rows, flattened tree) of ``drive(tracer)`` run once
+        against each recorder on identical clocks."""
+        monkeypatch.setattr(tracer_module, "time", _TickClock())
+        tree = RecordingTracer()
+        drive(tree)
+        monkeypatch.setattr(tracer_module, "time", _TickClock())
+        flat = FlatRecorder()
+        drive(flat)
+        return flat.flat(), flatten_spans(tree.roots)
+
+    def test_random_programs_match_the_tree_recorder(self, monkeypatch):
+        for seed in range(200):
+            rng = random.Random(seed)
+            roots = [_random_program(rng) for _ in range(rng.randint(1, 3))]
+
+            def drive(tracer):
+                for root in roots:
+                    try:
+                        _run_program(tracer, root)
+                    except _Boom:
+                        pass
+
+            flat, tree = self._both(monkeypatch, drive)
+            assert flat == tree, seed
+            assert span_events(flat) == span_events(tree), seed
+
+    def test_worker_thread_roots_commit_in_exit_order(self, monkeypatch):
+        def drive(tracer):
+            with tracer.span("request"):
+                worker = threading.Thread(
+                    target=_run_program,
+                    args=(
+                        tracer,
+                        {"name": "job", "attrs": {}, "steps": [],
+                         "raises": False},
+                    ),
+                )
+                worker.start()
+                worker.join(timeout=10.0)
+                assert not worker.is_alive()
+                with tracer.span("after"):
+                    pass
+
+        flat, tree = self._both(monkeypatch, drive)
+        assert [row[0] for row in flat] == ["job", "request", "after"]
+        assert flat == tree
+
+    def test_grafted_trees_match_the_tree_recorder(self, monkeypatch):
+        """Spans another tracer recorded, handed back the way a caller
+        that swapped tracers does (``stack[-1].children.extend`` inside
+        an open span, ``roots.extend`` outside any)."""
+
+        def drive(tracer):
+            def graft():
+                other = RecordingTracer()
+                _run_program(
+                    other,
+                    {"name": "agg_select", "attrs": {"n": 1},
+                     "steps": [("event", "cut", {})], "raises": False},
+                )
+                stack = tracer._stack()
+                (stack[-1].children if stack else tracer.roots).extend(
+                    other.roots
+                )
+
+            with tracer.span("request"):
+                with tracer.span("complete"):
+                    with tracer.span("parse"):
+                        pass
+                    graft()
+                    with tracer.span("rank"):
+                        pass
+            graft()
+
+        flat, tree = self._both(monkeypatch, drive)
+        assert flat == tree
+
+    def test_rows_outlive_the_recorder(self):
+        recorder = FlatRecorder()
+        with recorder.span("request", kind="x") as span:
+            span.set(late=True)
+        rows = recorder.flat()
+        alive = weakref.ref(recorder)
+        del recorder, span
+        gc.collect()
+        assert alive() is None
+        (row,) = rows
+        assert row[:3] == ("request", None, 0)
+        assert row[5] == {"kind": "x", "late": True}

@@ -35,11 +35,14 @@ class GatedEngine:
         self.gate.set()
 
     def complete(self, expression, budget=None):
+        return self.complete_outcome(expression, budget)[0]
+
+    def complete_outcome(self, expression, budget=None):
         self.entered.release()
         assert self.gate.wait(timeout=30.0), "test never released the gate"
         if budget is not None:
-            return self._engine.complete(expression, budget=budget)
-        return self._engine.complete(expression)
+            return self._engine.complete_outcome(expression, budget=budget)
+        return self._engine.complete_outcome(expression)
 
     def __getattr__(self, name):
         return getattr(self._engine, name)

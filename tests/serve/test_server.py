@@ -1,13 +1,18 @@
 """End-to-end behaviour of the serving tier over real sockets."""
 
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.core.compiled import CompiledSchema
+from repro.core.compiled import CompiledSchema, compile_schema, invalidate
 from repro.core.engine import Disambiguator
 from repro.model.instances import Database
-from repro.serve import ServeConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.promtext import render_prometheus
+from repro.schemas.university import build_university_schema
+from repro.serve import ServeConfig, ServingTier, TenantRegistry
 from repro.serve.config import ServeConfig as _ServeConfig
 
 from tests.serve.conftest import make_tier, raw_client
@@ -149,6 +154,137 @@ class TestObservability:
         university_client.complete("ta ~ name")
         summary = university_tier.metrics.as_dict()
         assert summary["counters"].get("completions", 0) >= 1
+
+
+def _registry_tier(registry: MetricsRegistry, port: int = 0) -> ServingTier:
+    """A threaded tier recording into ``registry``; caller must stop()."""
+    tenants = TenantRegistry(max_cache_bytes=1 << 20)
+    tenants.add("university", CompiledSchema(build_university_schema()))
+    tier = ServingTier(tenants, ServeConfig(port=port), metrics=registry)
+    return tier.run_in_thread()
+
+
+def _family(line: str) -> str:
+    """The metric family an exposition line belongs to."""
+    if line.startswith("#"):
+        return line.split()[2]  # "# HELP name ..." / "# TYPE name ..."
+    return line.split("{")[0].split()[0]
+
+
+def _get(url: str) -> tuple[int, dict[str, str], bytes]:
+    with urllib.request.urlopen(url, timeout=10) as response:
+        return response.status, dict(response.headers), response.read()
+
+
+class TestScrapeEndpoints:
+    """``/metrics`` and ``/healthz``: the scrape pair the tier serves."""
+
+    def test_scrape_matches_direct_render(self):
+        registry = MetricsRegistry()
+        registry.counter("cache.hits").inc(7)
+        registry.gauge("cache.hit_ratio").set(0.875)
+        latency = registry.histogram("query.elapsed_seconds")
+        for value in [0.0001, 0.004, 0.2, 3.0]:
+            latency.observe(value)
+        direct = render_prometheus(registry, namespace="repro")
+        tier = _registry_tier(registry)
+        try:
+            status, headers, body = _get(f"{tier.url}/metrics")
+        finally:
+            tier.stop(drain=False)
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
+        served = body.decode("utf-8").splitlines()
+        # Every directly rendered line is served byte for byte; the
+        # rest are the tier's own serve/slo series.
+        assert not set(direct.splitlines()) - set(served)
+        extra = {
+            _family(line) for line in set(served) - set(direct.splitlines())
+        }
+        assert all(
+            name.startswith(("repro_serve_", "repro_slo_")) for name in extra
+        ), sorted(extra)
+
+    def test_healthz_and_404(self):
+        # Start from an empty artifact registry so the snapshot holds
+        # exactly what this test compiles, whatever ran before it.
+        invalidate()
+        compiled = compile_schema(build_university_schema())
+        compiled.complete_simple("ta", "name")
+        tier = _registry_tier(MetricsRegistry())
+        try:
+            status, headers, body = _get(f"{tier.url}/healthz")
+            assert status == 200
+            assert headers["Content-Type"] == "application/json"
+            payload = json.loads(body)
+            with pytest.raises(urllib.error.HTTPError) as error:
+                _get(f"{tier.url}/nope")
+            error.value.close()
+            assert error.value.code == 404
+        finally:
+            tier.stop(drain=False)
+        assert payload["status"] == "ok"
+        registry_info = payload["registry"]
+        assert registry_info["artifacts"] == len(registry_info["entries"])
+        ours = [
+            entry
+            for entry in registry_info["entries"]
+            if entry["fingerprint"] == compiled.fingerprint[:12]
+        ]
+        assert len(ours) == 1
+        assert ours[0]["lineage_depth"] == len(compiled.lineage)
+        assert ours[0]["completion_cache"]["size"] == len(compiled.cache)
+        assert registry_info["cached_completions"] >= 1
+        assert payload["serving"]["state"] == "serving"
+
+    def test_scrape_sees_live_updates(self):
+        registry = MetricsRegistry()
+        tier = _registry_tier(registry)
+        try:
+            registry.counter("ticks").inc()
+            first = _get(f"{tier.url}/metrics")[2].decode()
+            registry.counter("ticks").inc(4)
+            second = _get(f"{tier.url}/metrics")[2].decode()
+        finally:
+            tier.stop(drain=False)
+        assert "repro_ticks_total 1" in first
+        assert "repro_ticks_total 5" in second
+
+
+class TestLifecycle:
+    def test_address_tracks_start_and_stop(self):
+        tier = ServingTier(
+            TenantRegistry(max_cache_bytes=1 << 20), ServeConfig(port=0)
+        )
+        assert tier.address is None
+        with pytest.raises(RuntimeError):
+            tier.url
+        tier.run_in_thread()
+        try:
+            assert tier.address is not None
+            assert _get(f"{tier.url}/healthz")[0] == 200
+        finally:
+            tier.stop()
+        assert tier.draining
+        with pytest.raises(urllib.error.URLError):
+            _get(f"{tier.url}/healthz")
+
+    def test_stop_is_idempotent(self):
+        tier = _registry_tier(MetricsRegistry())
+        tier.stop()
+        tier.stop()  # second stop is a no-op, not an error
+        assert tier.draining
+
+    def test_sequential_servers_can_reuse_a_port(self):
+        first = _registry_tier(MetricsRegistry())
+        _, port = first.address
+        first.stop(drain=False)
+        # The port was released on stop: binding it again succeeds.
+        second = _registry_tier(MetricsRegistry(), port=port)
+        try:
+            assert second.address[1] == port
+        finally:
+            second.stop(drain=False)
 
 
 class TestQuery:

@@ -387,3 +387,185 @@ class TestPinnedSequence:
         assert digest(seen["access"]) == PINNED_ACCESS_DIGEST
         modes = (resolve_pruning(None), resolve_delta_mode(None))
         assert digest(seen["slowlog"]) == PINNED_SLOWLOG_DIGESTS[modes]
+
+
+class TestOwnLookupAccounting:
+    def test_miss_does_not_report_hits_served_while_it_searched(
+        self, university, monkeypatch
+    ):
+        """A miss whose search overlaps inline warm hits reports its own
+        lookup only (the cache's shared counters moved with the hits),
+        in its body and in its access record."""
+        entered, release = threading.Event(), threading.Event()
+        run = CompletionSearch.run
+
+        def held_run(self, *args, **kwargs):
+            if threading.current_thread().name.startswith(WORKER_PREFIX):
+                entered.set()
+                assert release.wait(timeout=30.0)
+            return run(self, *args, **kwargs)
+
+        tier = make_tier({"university": university})
+        try:
+            client = raw_client(tier)
+            assert client.complete("ta ~ name").status == 200  # now warm
+            monkeypatch.setattr(CompletionSearch, "run", held_run)
+            cold: list = []
+            searcher = threading.Thread(
+                target=lambda: cold.append(
+                    raw_client(tier).request(
+                        "POST",
+                        "/v1/complete",
+                        {"expression": "professor ~ name"},
+                        headers={"X-Request-Id": "held-miss"},
+                    )
+                )
+            )
+            searcher.start()
+            assert entered.wait(timeout=30.0)
+            for _ in range(5):
+                warm = client.complete("ta ~ name")
+                assert warm.status == 200
+                assert warm.json["stats"]["cache_hits"] == 1
+                assert warm.json["stats"]["cache_misses"] == 0
+            release.set()
+            searcher.join(timeout=30.0)
+            assert not searcher.is_alive()
+            records = {
+                record["request_id"]: record
+                for record in tier.access_log.records()
+            }
+        finally:
+            release.set()
+            tier.stop(drain=False)
+        (response,) = cold
+        assert response.status == 200
+        assert response.json["stats"]["cache_hits"] == 0
+        assert response.json["stats"]["cache_misses"] == 1
+        assert records["held-miss"]["cache_hit"] is False
+
+
+class TestWarmHitWork:
+    def test_repeat_hit_does_only_its_telemetry(self, university, monkeypatch):
+        """Counted, not timed: a repeat served hit (unsampled, default
+        config) parses nothing, builds no span tree or budget, encodes
+        no series name, walks no cache sizes and renders no path list."""
+        import repro.core.engine as engine_module
+        import repro.serve.app as app_module
+        from repro.obs.tracer import RecordingTracer, Span
+        from repro.resilience.budget import Budget
+        from repro.serve.tenants import TenantRegistry
+
+        tier = make_tier({"university": university})
+        calls: dict[str, int] = {}
+
+        def counting(name, fn, only=None):
+            def wrapper(*args, **kwargs):
+                if only is None or only(*args, **kwargs):
+                    calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        try:
+            client = raw_client(tier)
+            assert client.complete("ta ~ name").status == 200
+            assert client.complete("ta ~ name").status == 200
+            for owner, attr, only in [
+                (engine_module, "parse_path_expression", None),
+                (RecordingTracer, "__init__", None),
+                (Span, "__init__", None),
+                (Budget, "__init__", None),
+                (app_module, "labelled", None),
+                (TenantRegistry, "total_cache_bytes", None),
+                (json, "dumps", lambda value, **_: isinstance(value, list)),
+            ]:
+                name = f"{getattr(owner, '__name__', owner)}.{attr}"
+                monkeypatch.setattr(
+                    owner, attr, counting(name, getattr(owner, attr), only)
+                )
+            response = client.complete("ta ~ name")
+            monkeypatch.undo()
+        finally:
+            tier.stop(drain=False)
+        assert response.status == 200
+        assert response.json["stats"]["cache_hits"] == 1
+        assert calls == {}
+
+
+class TestRenderedBody:
+    """The hand-rendered ``/v1/complete`` body is exactly
+    ``json.dumps(payload, sort_keys=True) + "\\n"``."""
+
+    @staticmethod
+    def expected(tenant, expression, e, result, hit) -> bytes:
+        payload = {
+            "tenant": tenant,
+            "expression": expression,
+            "e": e,
+            "paths": [str(path) for path in result.paths],
+            "labels": [str(label) for label in result.labels],
+            "exhausted": result.exhausted,
+            "stats": {
+                "recursive_calls": result.stats.recursive_calls,
+                "cache_hits": int(hit),
+                "cache_misses": int(not hit),
+                "budget_trips": result.stats.budget_trips,
+                "elapsed_ms": round(result.stats.elapsed_seconds * 1000.0, 3),
+            },
+        }
+        if not result.exhausted:
+            payload["truncation_reason"] = result.truncation_reason
+        return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+    def test_matches_json_dumps_byte_for_byte(self, university, cupid):
+        from repro.resilience.budget import Budget
+        from repro.serve.app import _completion_reply
+
+        engine = Disambiguator(university)
+        partial = Disambiguator(cupid, e=2).complete(
+            "experiment ~ conductance",
+            budget=Budget(max_nodes=5, partial_ok=True),
+        )
+        assert not partial.exhausted  # a 206 body
+        cases = [
+            ("university", "ta ~ name", 1, engine.complete("ta ~ name")),
+            ("ünï", "tä ~ nämé  ✓", 7, engine.complete("student ~ name")),
+            ("cupid", "experiment ~ conductance", 2, partial),
+            ("university", "ta ~ ghost", 1, engine.complete("ta ~ ghost")),
+        ]
+        for tenant, expression, e, result in cases:
+            for hit in (True, False):
+                reply = _completion_reply(tenant, expression, e, result, hit)
+                assert reply.body == self.expected(
+                    tenant, expression, e, result, hit
+                )
+                # Rendering again reads the memo and gives the same bytes.
+                again = _completion_reply(tenant, expression, e, result, hit)
+                assert again.body == reply.body
+
+    def test_served_bodies_are_canonical_json(self, university):
+        tier = make_tier({"university": university})
+        try:
+            client = raw_client(tier)
+            bodies = [
+                client.complete("ta ~ name").body,
+                client.complete("ta ~ name").body,
+                client.complete("professor ~ name", e=2).body,
+            ]
+        finally:
+            tier.stop(drain=False)
+        for body in bodies:
+            payload = json.loads(body)
+            assert body == (
+                json.dumps(payload, sort_keys=True) + "\n"
+            ).encode("utf-8")
+
+    def test_memo_is_charged_to_the_cache_entry(self, university):
+        result = Disambiguator(university).complete("ta ~ name")
+        rendered = result.paths_json()
+        charged = estimate_result_bytes(result) - estimate_result_bytes(
+            type("Shell", (), {"paths": result.paths, "labels": result.labels,
+                               "support": result.support})()
+        )
+        assert charged >= sys.getsizeof(rendered)
